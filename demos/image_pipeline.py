@@ -15,10 +15,8 @@ from parvault.statsuite import (adjacent_correlation, battery_passed,
 
 
 def seeded(tag, seed=4):
-    base = prng.DEFAULT_CONFIG
     mix = digest64_ints(seed, digest64_text(tag))
-    return prng.GeneratorConfig(seed=(mix % base.n) or 1, m=base.m,
-                                i_num=base.i_num, i_den=base.i_den, n=base.n)
+    return prng.DEFAULT_CONFIG.reseeded(mix)
 
 
 def main():

@@ -7,16 +7,18 @@ per file), carrying the authorized and revoked user sets, a fixed
 threshold of 3, a monotone epoch, and the needs_reencryption flag the
 protocol layer acts on after revocations.
 
-Persistence is an append-only event log, one JSON object per line with a
-strictly increasing sequence number; loading replays the log into the
-in-memory snapshot. Storage-overhead accounting lives here too: a user
-carries their m credentials plus one share point (m+1 parameters), the
-server carries the per-file ciphertext-rooted elements plus one binding
-code (K_c+1), and the audit helpers count leaf parameters in serialized
-state so tests can hold the bookkeeping to those formulas.
+The store lives in memory and keeps no history of its own: a world is
+rebuilt by replaying commands through the protocol layer (the CLI keeps
+them in its vault journal), and snapshot() gives the JSON view the cloud
+backs up.
+
+Storage-overhead accounting lives here too: a user carries their m
+credentials plus one share point (m+1 parameters), the server carries the
+per-file ciphertext-rooted elements plus one binding code (K_c+1), and
+the audit helpers count leaf parameters in serialized state so tests can
+hold the bookkeeping to those formulas.
 """
 
-import json
 import warnings
 from dataclasses import dataclass, field
 
@@ -85,60 +87,13 @@ class AccessDecision:
 
 
 class PolicyDb:
-    """Registry + policy store with an optional append-only event log."""
+    """In-memory registry and policy store; snapshot() is its only
+    serialized form."""
 
-    def __init__(self, log_path=None):
+    def __init__(self):
         self.users = {}
         self.credential_index = {}
         self.policies = {}
-        self._log_path = log_path
-        self._seq = 0
-
-    # -- event log ----------------------------------------------------------
-
-    def _append(self, kind, **payload):
-        self._seq += 1
-        if self._log_path:
-            rec = {"seq": self._seq, "kind": kind, **payload}
-            with open(self._log_path, "a") as fh:
-                fh.write(json.dumps(rec, sort_keys=True) + "\n")
-
-    @classmethod
-    def load(cls, log_path):
-        """Rebuild the snapshot by replaying the event log."""
-        db = cls()
-        with open(log_path) as fh:
-            last_seq = 0
-            for line in fh:
-                if not line.strip():
-                    continue
-                rec = json.loads(line)
-                if rec["seq"] <= last_seq:
-                    raise ValidationError("event log sequence not increasing")
-                last_seq = rec["seq"]
-                db._replay(rec)
-        db._seq = last_seq
-        db._log_path = log_path
-        return db
-
-    def _replay(self, rec):
-        kind = rec["kind"]
-        if kind == "register":
-            self.register_user(UserRecord(rec["user_id"], rec["user_type"],
-                                          list(rec["credentials"])))
-        elif kind == "create_policy":
-            self.create_policy(rec["owner_id"], rec["file_id"],
-                               set(rec["authorized"]), rec["priority"])
-        elif kind == "revoke":
-            self.revoke_user(rec["owner_id"], rec["file_id"], rec["user_id"])
-        elif kind == "grant":
-            self.grant_user(rec["owner_id"], rec["file_id"], rec["user_id"])
-        elif kind == "epoch":
-            self.advance_epoch(rec["file_id"])
-        elif kind == "reencrypted":
-            self.mark_reencrypted(rec["file_id"])
-        else:
-            raise ValidationError(f"unknown event kind {kind!r}")
 
     # -- registry -----------------------------------------------------------
 
@@ -155,9 +110,6 @@ class PolicyDb:
         self.users[record.user_id] = record
         for cred in record.credentials:
             self.credential_index.setdefault(cred, set()).add(record.user_id)
-        self._append("register", user_id=record.user_id,
-                     user_type=record.user_type,
-                     credentials=list(record.credentials))
         return record.user_id
 
     def get_user(self, user_id):
@@ -181,8 +133,6 @@ class PolicyDb:
                             authorized_user_ids=set(authorized),
                             priority=priority)
         self.policies[file_id] = entry
-        self._append("create_policy", owner_id=owner_id, file_id=file_id,
-                     authorized=sorted(authorized), priority=priority)
         return entry
 
     def get_policy(self, file_id):
@@ -216,8 +166,6 @@ class PolicyDb:
         entry.revoked_user_ids.add(user_id)
         entry.needs_reencryption = True
         entry.epoch += 1
-        self._append("revoke", owner_id=owner_id, file_id=file_id,
-                     user_id=user_id)
         return entry
 
     def grant_user(self, owner_id, file_id, user_id):
@@ -231,20 +179,16 @@ class PolicyDb:
         entry.authorized_user_ids.add(user_id)
         entry.needs_reencryption = True
         entry.epoch += 1
-        self._append("grant", owner_id=owner_id, file_id=file_id,
-                     user_id=user_id)
         return entry
 
     def advance_epoch(self, file_id):
         entry = self.get_policy(file_id)
         entry.epoch += 1
-        self._append("epoch", file_id=file_id)
         return entry.epoch
 
     def mark_reencrypted(self, file_id):
         entry = self.get_policy(file_id)
         entry.needs_reencryption = False
-        self._append("reencrypted", file_id=file_id)
         return entry
 
     # -- snapshots ----------------------------------------------------------

@@ -42,9 +42,7 @@ def _base_config(args):
 
 def _seeded_config(args, tag):
     base = _base_config(args) or prng.DEFAULT_CONFIG
-    mix = digest64_ints(args.seed, digest64_text(tag))
-    return prng.GeneratorConfig(seed=(mix % base.n) or 1, m=base.m,
-                                i_num=base.i_num, i_den=base.i_den, n=base.n)
+    return base.reseeded(digest64_ints(args.seed, digest64_text(tag)))
 
 
 def _ensure_out(args):
@@ -81,10 +79,8 @@ def _read_keyfile(path):
 
 
 def _stream_configs(stream_seed):
-    base = prng.DEFAULT_CONFIG
-    mk = lambda tag: prng.GeneratorConfig(  # noqa: E731
-        seed=(digest64_ints(stream_seed, digest64_text(tag)) % base.n) or 1,
-        m=base.m, i_num=base.i_num, i_den=base.i_den, n=base.n)
+    mk = lambda tag: prng.DEFAULT_CONFIG.reseeded(  # noqa: E731
+        digest64_ints(stream_seed, digest64_text(tag)))
     return mk("padding"), mk("keystream")
 
 
@@ -273,6 +269,9 @@ def _cmd_revoke(args):
     _ensure_out(args)
     sim, records, params = _load_vault(args)
     entry = sim.policy_db.get_policy(args.file)
+    if args.user not in entry.authorized_user_ids:
+        raise ValidationError(f"{args.user!r} is not a current sharer of "
+                              f"{args.file!r}; nothing to revoke")
     issued = sim.revoke_and_reencrypt(entry.owner_id, args.file, args.user)
     _append_vault(args, records,
                   [{"cmd": "revoke", "owner": entry.owner_id,

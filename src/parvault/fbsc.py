@@ -197,11 +197,6 @@ def _codebook(key, precision):
     return tuple(involute(x, key, precision) for x in range(256))
 
 
-@lru_cache(maxsize=64)
-def _reverse_codebook(key, precision):
-    return {v: x for x, v in enumerate(_codebook(key, precision))}
-
-
 # ---------------------------------------------------------------------------
 # streams
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ implementation, not magic numbers with external meaning.
 """
 
 import configparser
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,6 +64,11 @@ class GeneratorConfig:
     def bits_per_step(self):
         # floor(log2 n) - 2, the two guard bits dropped
         return self.n.bit_length() - 3
+
+    def reseeded(self, value):
+        """This config with seed value reduced mod n (0 maps to 1). Callers
+        derive value by their own mix of seed, tags and epochs."""
+        return dataclasses.replace(self, seed=(value % self.n) or 1)
 
 
 DEFAULT_CONFIG = GeneratorConfig(
@@ -133,11 +139,7 @@ def generate_matrix(config, rows, cols):
 
 def _epoch_subconfig(config, epoch):
     # independent draw stream for padding material at a given logical epoch
-    salted = (config.seed + (epoch + 1) * _EPOCH_SALT) % config.n
-    if salted == 0:
-        salted = 1
-    return GeneratorConfig(seed=salted, m=config.m, i_num=config.i_num,
-                           i_den=config.i_den, n=config.n)
+    return config.reseeded(config.seed + (epoch + 1) * _EPOCH_SALT)
 
 
 class PaddingError(ParvaultError):

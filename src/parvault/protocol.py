@@ -96,10 +96,7 @@ class Simulation:
                  precision=fbsc.DEFAULT_PRECISION, pk_bits=DEFAULT_PK_BITS,
                  base_config=None, key_power=None):
         if base_config is None:
-            base = prng.DEFAULT_CONFIG
-            base_config = prng.GeneratorConfig(
-                seed=(seed % base.n) or 1, m=base.m,
-                i_num=base.i_num, i_den=base.i_den, n=base.n)
+            base_config = prng.DEFAULT_CONFIG.reseeded(seed)
         self.base_config = base_config
         self.seed = seed
         self.p = p
@@ -120,11 +117,8 @@ class Simulation:
 
     def _sub_config(self, tag, file_id, epoch):
         base = self.base_config
-        mix = digest64_ints(base.seed, digest64_text(file_id), epoch,
-                            digest64_text(tag))
-        return prng.GeneratorConfig(seed=(mix % base.n) or 1, m=base.m,
-                                    i_num=base.i_num, i_den=base.i_den,
-                                    n=base.n)
+        return base.reseeded(digest64_ints(base.seed, digest64_text(file_id),
+                                           epoch, digest64_text(tag)))
 
     def _fresh_symmetric_key(self, file_id, key_epoch):
         cfg = self._sub_config("symkey", file_id, key_epoch)
@@ -356,46 +350,39 @@ class Simulation:
         return rsacrt.decode_payload(a0)
 
     def revoke_and_reencrypt(self, owner_id, file_id, user_id):
-        """Revoke one user and re-key the file for everyone left."""
-        entry = self.policy_db.get_policy(file_id)
-        if owner_id != entry.owner_id:
-            raise acl.NotOwnerError(f"{owner_id!r} does not own {file_id!r}")
-        if user_id not in entry.authorized_user_ids:
-            return {h: t for h, t in self._current_assignment(file_id).items()}
-        r_n, pk_sk = self._old_key_via_ceremony(file_id, entry, exclude=user_id)
-        plaintext = self._decrypt_blob(file_id, r_n, pk_sk)
-        self.policy_db.revoke_user(owner_id, file_id, user_id)
-        remaining = sorted(entry.authorized_user_ids)
-        new_epoch = self.server_files[file_id]["key_epoch"] + 1
-        issued = self._encrypt_and_share(file_id, plaintext, owner_id,
-                                         remaining, key_epoch=new_epoch)
-        # the revoked user keeps their now-stale point; it fails the epoch
-        # and binding checks, which is the point of re-keying
-        self.server_files[file_id]["wrapped"].pop(user_id, None)
-        for holder in issued:
-            if holder != "org_server":
-                self.bus.send("org_server", holder, "ReencryptNotice",
-                              file_id=file_id, epoch=new_epoch)
-        self.policy_db.mark_reencrypted(file_id)
-        self.cloud_acl_backup = self.policy_db.snapshot()
-        return issued
+        """Revoke one user and re-key the file for everyone left. Runs the
+        same ceremony as re_grant; revoking a non-sharer changes nothing."""
+        return self._rekey(owner_id, file_id, user_id, admit=False)
 
     def re_grant(self, owner_id, file_id, user_id):
-        """Admit (or re-admit) a user: the same ceremony as revocation,
-        ending with points for the enlarged set."""
+        """Admit (or re-admit) a user and re-key the file for the enlarged
+        set. Runs the same ceremony as revoke_and_reencrypt; granting a
+        current sharer changes nothing."""
+        return self._rekey(owner_id, file_id, user_id, admit=True)
+
+    def _rekey(self, owner_id, file_id, user_id, admit):
+        """Recover the current secret without user_id's point, admit or
+        revoke user_id, and re-encrypt under a fresh secret and fresh points
+        at the next key epoch. Returns the new assignment, or the current
+        one when the ACL already says what was asked."""
         entry = self.policy_db.get_policy(file_id)
         if owner_id != entry.owner_id:
             raise acl.NotOwnerError(f"{owner_id!r} does not own {file_id!r}")
-        if user_id in entry.authorized_user_ids:
+        if (user_id in entry.authorized_user_ids) == admit:
             return self._current_assignment(file_id)
         r_n, pk_sk = self._old_key_via_ceremony(file_id, entry,
                                                 exclude=user_id)
         plaintext = self._decrypt_blob(file_id, r_n, pk_sk)
-        self.policy_db.grant_user(owner_id, file_id, user_id)
-        members = sorted(entry.authorized_user_ids)
+        if admit:
+            self.policy_db.grant_user(owner_id, file_id, user_id)
+        else:
+            self.policy_db.revoke_user(owner_id, file_id, user_id)
         new_epoch = self.server_files[file_id]["key_epoch"] + 1
+        # a revoked user keeps their now-stale point; it fails the epoch
+        # and binding checks, which is the point of re-keying
         issued = self._encrypt_and_share(file_id, plaintext, owner_id,
-                                         members, key_epoch=new_epoch)
+                                         sorted(entry.authorized_user_ids),
+                                         key_epoch=new_epoch)
         for holder in issued:
             if holder != "org_server":
                 self.bus.send("org_server", holder, "ReencryptNotice",
@@ -405,11 +392,12 @@ class Simulation:
         return issued
 
     def _current_assignment(self, file_id):
+        """Point x of every current holder: the server, the owner and each
+        authorized user. Revoked users' stale points are not listed."""
+        entry = self.policy_db.get_policy(file_id)
         out = {"org_server": self.server_files[file_id]["org_token"]["x"]}
-        for uid, st in self.user_state.items():
-            tok = st["points"].get(file_id)
-            if tok is not None:
-                out[uid] = tok["x"]
+        for uid in [entry.owner_id] + sorted(entry.authorized_user_ids):
+            out[uid] = self.user_state[uid]["points"][file_id]["x"]
         return out
 
     def epoch_tick(self, file_id):
@@ -508,8 +496,7 @@ def _toy_posterior_uniform(p=101, seed=7):
     coefficient pair for every candidate secret, by full enumeration."""
     import numpy as np
 
-    cfg = prng.GeneratorConfig(seed=seed, m=prng.DEFAULT_CONFIG.m,
-                               i_num=prng.DEFAULT_CONFIG.i_num)
+    cfg = prng.DEFAULT_CONFIG.reseeded(seed)
     a0, a1, raw = prng.generate_values(cfg, 3)
     poly = secretshare.ParabolicPolicy(a0=a0 % p, a1=a1 % p,
                                        a2=1 + raw % (p - 1), p=p)

@@ -191,35 +191,6 @@ def test_epoch_never_decreases_under_random_operations():
 
 
 # ---------------------------------------------------------------------------
-# event log persistence
-# ---------------------------------------------------------------------------
-
-def test_log_replay_reconstructs_state(tmp_path):
-    log = tmp_path / "policy.log"
-    db = acl.PolicyDb(log_path=log)
-    db.register_user(acl.UserRecord("olive", "owner", ["a", "b"]))
-    db.register_user(acl.UserRecord("rena", "user", ["c"]))
-    db.create_policy("olive", "f1", {"rena"}, priority=2)
-    db.revoke_user("olive", "f1", "rena")
-    db.advance_epoch("f1")
-
-    replayed = acl.PolicyDb.load(log)
-    assert replayed.snapshot() == db.snapshot()
-    assert replayed.get_policy("f1").epoch == 2
-    assert "rena" in replayed.get_policy("f1").revoked_user_ids
-
-
-def test_log_lines_carry_monotone_sequence(tmp_path):
-    import json
-    log = tmp_path / "policy.log"
-    db = acl.PolicyDb(log_path=log)
-    db.register_user(acl.UserRecord("olive", "owner", ["a", "b"]))
-    db.create_policy("olive", "f1", set())
-    records = [json.loads(line) for line in log.read_text().splitlines()]
-    assert [r["seq"] for r in records] == list(range(1, len(records) + 1))
-
-
-# ---------------------------------------------------------------------------
 # storage overhead
 # ---------------------------------------------------------------------------
 

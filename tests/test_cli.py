@@ -154,6 +154,33 @@ def test_vault_refuses_a_second_file_under_one_name(tmp_path, capsys):
     assert "PolicyExistsError" in capsys.readouterr().err
 
 
+def test_vault_revoke_refuses_a_non_sharer(tmp_path, capsys):
+    doc = tmp_path / "g.bin"
+    doc.write_bytes(SECRET)
+    vault = tmp_path / "vault"
+    assert run("share", doc, "--out", vault, "--owner", "olga",
+               "--users", "rena,sam") == 0
+    assert run("revoke", "g.bin", "--out", vault, "--user", "sam") == 0
+    journal, blob = vault / "vault.jsonl", vault / "g.bin.blob"
+    for user in ("zed", "sam"):  # never shared with; already revoked
+        lines, before = journal.read_text(), blob.read_bytes()
+        capsys.readouterr()
+        assert run("revoke", "g.bin", "--out", vault, "--user", user) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert "not a current sharer" in captured.err
+        assert journal.read_text() == lines
+        assert blob.read_bytes() == before
+
+    # older journals may hold no-op revokes; they still replay
+    with journal.open("a") as fh:
+        fh.write(json.dumps({"cmd": "revoke", "owner": "olga",
+                             "file": "g.bin", "user": "zed"}) + "\n")
+    assert run("access", "g.bin", "--out", vault, "--user", "rena") == 0
+    assert (vault / "g.bin.plain").read_bytes() == SECRET
+
+
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------

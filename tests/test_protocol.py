@@ -223,6 +223,16 @@ def test_revoking_a_stranger_changes_nothing():
     assert sim.cloud_blobs[fid] == blob_before
 
 
+def test_repeated_revoke_lists_only_current_holders():
+    sim, fid, _ = stored_world()
+    issued = sim.revoke_and_reencrypt("olive", fid, "sam")
+    blob_before = sim.cloud_blobs[fid]
+    again = sim.revoke_and_reencrypt("olive", fid, "sam")
+    assert again == issued
+    assert "sam" not in again
+    assert sim.cloud_blobs[fid] == blob_before
+
+
 def test_only_the_owner_revokes():
     sim, fid, _ = stored_world()
     with pytest.raises(acl.NotOwnerError):
