@@ -17,14 +17,22 @@ Values are fixed-point decimals carrying `precision` fractional digits
 (default 50, floor 30). Roots are computed by Newton iteration in exact
 decimal arithmetic with guard digits, with an integer fast path so perfect
 powers (x = t**R) stay exact end to end. A stream is encrypted by XORing
-each byte with keystream material first, then applying f; since there are
-only 256 possible symbols the codebook per key is tiny and both directions
-amortize to table lookups.
+each byte with keystream material first, then applying f. There are only
+256 possible symbols, so each key has a 256-entry codebook (symbol ->
+element, cached per key) and both directions are table lookups: encrypt
+indexes the codebook, decrypt looks each element up in its inverse
+(element -> symbol) and XORs the symbols with the keystream in numpy. Only
+an element missing from the inverse table, which a wrong key or a damaged
+blob produces, is inverted by the root-based anti_involute, so those still
+fail with RoundoffError (or, non-strictly, map to the nearest symbol).
 """
 
+import re
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from functools import lru_cache
+
+import numpy as np
 
 from .digests import digest64_text
 from .errors import ParvaultError, ValidationError
@@ -220,26 +228,36 @@ def decrypt_stream(elements, key, keystream, precision=DEFAULT_PRECISION,
                    strict=True):
     """Invert encrypt_stream: data_i = f^{-1}(element_i) XOR keystream_i.
 
-    strict=True (the default) lets RoundoffError propagate, so a wrong key
-    usually fails loudly; strict=False substitutes the nearest byte value
-    instead, which is what a difference-rate comparison wants.
+    Each element is looked up in the inverse of the key's codebook; only an
+    element missing from it (a wrong key, a damaged blob) is inverted by
+    anti_involute. strict=True (the default) lets that RoundoffError
+    propagate, so a wrong key usually fails loudly; strict=False
+    substitutes the nearest byte value instead, which is what a
+    difference-rate comparison wants.
     """
     ks = _check_keystream(keystream, len(elements))
-    out = bytearray()
-    cache = {}
-    for el, k in zip(elements, ks):
-        value = el if isinstance(el, Decimal) else Decimal(el)
-        sym = cache.get(value)
-        if sym is None:
-            try:
-                sym = anti_involute(value, key, precision)
-            except (RoundoffError, DomainError):
-                if strict:
-                    raise
-                sym = _nearest_symbol(value, key, precision)
-            cache[value] = sym
-        out.append((sym ^ k) & 0xFF)
-    return bytes(out)
+    inverse = {el: x for x, el in enumerate(_codebook(key, precision))}
+    syms = [inverse[el] if el in inverse else
+            _symbol_by_root(el, inverse, key, precision, strict)
+            for el in elements]
+    data = np.frombuffer(bytes(syms), dtype=np.uint8)
+    return (data ^ np.frombuffer(ks, dtype=np.uint8, count=len(syms))).tobytes()
+
+
+def _symbol_by_root(element, inverse, key, precision, strict):
+    # anti_involute's byte for an element not in the codebook, folded to
+    # 8 bits and remembered in `inverse` for the element's later copies
+    value = element if isinstance(element, Decimal) else Decimal(element)
+    sym = inverse.get(value)
+    if sym is None:
+        try:
+            sym = anti_involute(value, key, precision) & 0xFF
+        except (RoundoffError, DomainError):
+            if strict:
+                raise
+            sym = _nearest_symbol(value, key, precision)
+        inverse[value] = sym
+    return sym
 
 
 def _nearest_symbol(value, key, precision):
@@ -327,11 +345,15 @@ def format_element(value, f_digits):
     return format(q, "f")
 
 
+_ELEMENT_TEXT = re.compile(r"[0-9]+(?:\.[0-9]+)?")
+
+
 def parse_element(text):
-    try:
+    """Fixed-point element text: ASCII digits with an optional fraction.
+    Signs, exponents, NaN and Infinity are refused."""
+    if isinstance(text, str) and _ELEMENT_TEXT.fullmatch(text):
         return Decimal(text)
-    except Exception as exc:
-        raise BlobFormatError(f"bad element {text!r}") from exc
+    raise BlobFormatError(f"bad element {text!r}")
 
 
 def serialize_blob(blob):
@@ -347,7 +369,10 @@ def serialize_blob(blob):
     head.append(blob.n2_len)
     head += blob.epoch.to_bytes(4, "big")
     head += len(blob.elements).to_bytes(8, "big")
-    body = "\n".join(format_element(e, blob.f_digits) for e in blob.elements)
+    # at most 256 distinct elements under one key: format each once
+    texts = {e: format_element(e, blob.f_digits)
+             for e in dict.fromkeys(blob.elements)}
+    body = "\n".join(map(texts.__getitem__, blob.elements))
     return bytes(head) + body.encode("ascii") + (b"\n" if blob.elements else b"")
 
 
@@ -362,11 +387,16 @@ def parse_blob(raw):
     n1_len, n2_len = raw[16], raw[17]
     epoch = int.from_bytes(raw[18:22], "big")
     count = int.from_bytes(raw[22:30], "big")
-    body = raw[_HEADER_LEN:].decode("ascii")
-    lines = [ln for ln in body.split("\n") if ln]
+    body = raw[_HEADER_LEN:]
+    if not body.isascii():
+        raise BlobFormatError("blob body is not ASCII text")
+    lines = list(filter(None, body.split(b"\n")))
     if len(lines) != count:
         raise BlobFormatError(f"element count {len(lines)} != header {count}")
-    elements = [parse_element(ln) for ln in lines]
+    # each distinct line is checked and parsed once
+    values = {ln: parse_element(ln.decode("ascii"))
+              for ln in dict.fromkeys(lines)}
+    elements = list(map(values.__getitem__, lines))
     return EncryptedBlob(r_n=r_n, f_digits=f_digits, key_fingerprint=fingerprint,
                          n1_len=n1_len, n2_len=n2_len, epoch=epoch,
                          elements=elements)

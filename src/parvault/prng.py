@@ -107,6 +107,9 @@ def generate_bits(config, count):
 
     Each state contributes its low bits_per_step bits, most significant of
     that slice first; the final state's contribution is truncated to fit.
+    The states are written as fixed-width big-endian words and unpacked
+    into one row of bits each, of which the low bits_per_step columns are
+    kept.
     """
     if count < 1:
         raise ValidationError("bit count must be positive")
@@ -114,16 +117,13 @@ def generate_bits(config, count):
     if k < 1:
         raise ValidationError("modulus too narrow for bit extraction")
     steps = -(-count // k)
-    out = np.empty(steps * k, dtype=np.uint8)
+    width = -(-k // 8)
     mask = (1 << k) - 1
     it = iter_states(config)
-    pos = 0
-    for _ in range(steps):
-        w = next(it) & mask
-        for j in range(k - 1, -1, -1):
-            out[pos] = (w >> j) & 1
-            pos += 1
-    return out[:count]
+    words = b"".join((next(it) & mask).to_bytes(width, "big")
+                     for _ in range(steps))
+    bits = np.unpackbits(np.frombuffer(words, dtype=np.uint8))
+    return bits.reshape(steps, 8 * width)[:, 8 * width - k:].ravel()[:count]
 
 
 def generate_bytes(config, nbytes):

@@ -156,6 +156,9 @@ class Simulation:
         if not data:
             raise ValidationError("payload must be non-empty")
         sharer_ids = sorted(set(sharers))
+        if owner_id in sharer_ids:
+            raise ValidationError(f"owner {owner_id!r} cannot also be a "
+                                  "sharer; the owner always holds a point")
         d_x = 2 + len(sharer_ids)
         if d_x < 3:
             raise ThresholdError("need at least one sharer besides owner "
@@ -368,6 +371,9 @@ class Simulation:
         entry = self.policy_db.get_policy(file_id)
         if owner_id != entry.owner_id:
             raise acl.NotOwnerError(f"{owner_id!r} does not own {file_id!r}")
+        if admit and user_id == owner_id:
+            raise ValidationError(f"owner {owner_id!r} cannot also be a "
+                                  "sharer; the owner always holds a point")
         if (user_id in entry.authorized_user_ids) == admit:
             return self._current_assignment(file_id)
         r_n, pk_sk = self._old_key_via_ceremony(file_id, entry,

@@ -73,6 +73,23 @@ def test_decrypt_with_the_wrong_key_names_the_failure(tmp_path, capsys):
     assert not (tmp_path / "m.out").exists()
 
 
+def test_decrypt_of_a_non_ascii_blob_is_one_error_line(tmp_path, capsys):
+    plain = tmp_path / "m.bin"
+    plain.write_bytes(SECRET)
+    assert run("encrypt", plain, "--out", tmp_path, "--seed", 1) == 0
+    blob = tmp_path / "m.blob"
+    blob.write_bytes(blob.read_bytes() + "\u00e9\n".encode())
+    capsys.readouterr()
+    assert run("decrypt", blob, "--out", tmp_path,
+               "--key", tmp_path / "m.key") == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert "BlobFormatError" in captured.err
+    assert "not ASCII" in captured.err
+    assert not (tmp_path / "m.out").exists()
+
+
 def test_published_blob_carries_no_power_byte(tmp_path):
     plain = tmp_path / "m.bin"
     plain.write_bytes(SECRET)
@@ -179,6 +196,26 @@ def test_vault_revoke_refuses_a_non_sharer(tmp_path, capsys):
                              "file": "g.bin", "user": "zed"}) + "\n")
     assert run("access", "g.bin", "--out", vault, "--user", "rena") == 0
     assert (vault / "g.bin.plain").read_bytes() == SECRET
+
+
+def test_vault_share_refuses_the_owner_as_a_receiver(tmp_path, capsys):
+    doc = tmp_path / "g.bin"
+    doc.write_bytes(SECRET)
+    vault = tmp_path / "vault"
+    assert run("share", doc, "--out", vault, "--owner", "olga",
+               "--users", "rena") == 0
+    journal = vault / "vault.jsonl"
+    lines = journal.read_text()
+    (tmp_path / "h.bin").write_bytes(SECRET)
+    capsys.readouterr()
+    assert run("share", tmp_path / "h.bin", "--out", vault, "--owner", "olga",
+               "--users", "olga,sam") == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert "cannot also be a sharer" in captured.err
+    assert journal.read_text() == lines
+    assert not (vault / "h.bin.blob").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -180,6 +180,53 @@ def test_wrong_base_difference_rate_above_ninety_percent():
     assert diff / len(data) > 0.90
 
 
+@pytest.mark.parametrize("precision", [30, 50])
+@pytest.mark.parametrize("r_n", range(fbsc.R_MIN, fbsc.R_MAX + 1))
+def test_codebook_inverse_agrees_with_the_root_path(r_n, precision):
+    # decrypt's inverse table and anti_involute name the same symbol
+    for pk_sk in (17, 1048573):
+        key = fbsc.SymmetricKey(pk_sk=pk_sk, r_n=r_n)
+        book = fbsc._codebook(key, precision)
+        assert [fbsc.anti_involute(el, key, precision)
+                for el in book] == list(range(256))
+
+
+def _reference_decrypt(elements, key, ks):
+    # the per-element root path, with nearest-element fallback, folded
+    book = [fbsc.involute(x, key) for x in range(256)]
+    out = bytearray()
+    for el, k in zip(elements, ks):
+        try:
+            sym = fbsc.anti_involute(el, key)
+        except (fbsc.RoundoffError, fbsc.DomainError):
+            sym = min(range(256), key=lambda x: abs(book[x] - el))
+        out.append((sym ^ k) & 0xFF)
+    return bytes(out)
+
+
+@pytest.mark.parametrize("wrong", [
+    fbsc.SymmetricKey(pk_sk=20, r_n=4),      # power off by one
+    fbsc.SymmetricKey(pk_sk=21, r_n=3),      # base off by one
+])
+def test_lenient_wrong_key_decrypt_matches_per_element_reference(wrong):
+    rng = np.random.default_rng(13)
+    data = rng.integers(0, 256, 512, dtype=np.uint8).tobytes()
+    ks = keystream(len(data))
+    els = fbsc.encrypt_stream(data, KEY_20_3, ks)
+    out = fbsc.decrypt_stream(els, wrong, ks, strict=False)
+    assert out == _reference_decrypt(els, wrong, ks)
+    with pytest.raises(fbsc.RoundoffError):
+        fbsc.decrypt_stream(els, wrong, ks)
+
+
+def test_decrypt_accepts_elements_as_text():
+    data = b"plain text elements"
+    ks = keystream(len(data))
+    els = fbsc.encrypt_stream(data, KEY_20_3, ks)
+    texts = [fbsc.format_element(e, fbsc.DEFAULT_PRECISION) for e in els]
+    assert fbsc.decrypt_stream(texts, KEY_20_3, ks) == data
+
+
 @pytest.mark.parametrize("other", [
     fbsc.SymmetricKey(pk_sk=20, r_n=4),      # power off by one
     fbsc.SymmetricKey(pk_sk=21, r_n=3),      # base off by one
@@ -255,6 +302,16 @@ def test_parse_element_garbage_rejected():
         fbsc.parse_element("not a number")
 
 
+@pytest.mark.parametrize("text", [
+    "NaN", "nan", "sNaN", "Infinity", "-Infinity", "inf", "-1.5", "+1.5",
+    "-0.0", "1e5", "1.5E-3", "1_000.5", " 1.5", "1.5 ", ".5", "5.", "",
+    "\u0661.5", b"1.5",
+])
+def test_parse_element_refuses_text_that_is_not_fixed_point(text):
+    with pytest.raises(fbsc.BlobFormatError):
+        fbsc.parse_element(text)
+
+
 def _blob(elements, r_n=3):
     return fbsc.EncryptedBlob(r_n=r_n, f_digits=fbsc.DEFAULT_PRECISION,
                               key_fingerprint=KEY_20_3.fingerprint,
@@ -301,3 +358,30 @@ def test_blob_truncated_body_rejected():
     cut = raw.rfind(b"\n", 0, len(raw) - 1)
     with pytest.raises(fbsc.BlobFormatError):
         fbsc.parse_blob(raw[:cut + 1])
+
+
+def test_blob_non_ascii_body_rejected():
+    raw = fbsc.serialize_blob(_blob([Decimal(169)]))
+    with pytest.raises(fbsc.BlobFormatError, match="not ASCII"):
+        fbsc.parse_blob(raw[:-1] + "\u00e9\n".encode())
+
+
+@pytest.mark.parametrize("bad", ["NaN", "Infinity", "-8000.5", "8e3"])
+def test_blob_with_a_non_fixed_point_element_rejected(bad):
+    els = fbsc.encrypt_stream(b"abc", KEY_20_3, keystream(3))
+    raw = fbsc.serialize_blob(_blob(els))
+    head, body = raw[:fbsc._HEADER_LEN], raw[fbsc._HEADER_LEN:]
+    lines = body.split(b"\n")
+    lines[1] = bad.encode()
+    with pytest.raises(fbsc.BlobFormatError, match="bad element"):
+        fbsc.parse_blob(head + b"\n".join(lines))
+
+
+def test_blob_repeated_elements_roundtrip():
+    data = b"aaaa" * 64 + bytes(range(256))
+    els = fbsc.encrypt_stream(data, KEY_20_3, bytes(len(data)))
+    blob = _blob(els)
+    back = fbsc.parse_blob(fbsc.serialize_blob(blob))
+    assert back == blob
+    assert fbsc.decrypt_stream(back.elements, KEY_20_3,
+                               bytes(len(data))) == data

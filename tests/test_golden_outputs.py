@@ -6,6 +6,10 @@ epoch tick and a scripted store whose bytes come from the `scriptdata`
 stream. Three CLI runs pin the files written from a seed alone: `keygen`,
 `encrypt` without `--key` and `analyze corr` without `--encrypted`.
 Between them they cover every place a derived generator config is seeded.
+The numeric kernels are pinned on their own: `fbsc._codebook` for six
+(pk_sk, r_n, precision) triples, `serialize_blob` of a fixed 4 KiB stream
+and `prng.generate_bits` at three modulus widths (4, 58 and 86 bits a
+step), each at a count that is not a multiple of the width.
 
 The digests are SHA-256 hex (the trace hash is the bus's own 64-bit
 digest). They must not depend on the interpreter's string hashing, so the
@@ -24,7 +28,7 @@ import tempfile
 from pathlib import Path
 
 import parvault
-from parvault import protocol, statsuite
+from parvault import fbsc, prng, protocol, statsuite
 from parvault.cli import main
 
 GOLDEN = {
@@ -45,7 +49,40 @@ GOLDEN = {
         "3aad49591f4eae6ab8b815b260449eab05ccc52f857d56a994c8e30bde876813",
     "corr/correlation.csv":
         "da7a26b4ac2cddac41d0e333a6595d488ee2b1f6decaa594e33a6a85ebf268d0",
+    "codebook/16-2-F30":
+        "ddb4d7c112bf947a7e71a6428f828888dbc783d3200fdb55f4009ccfdf830986",
+    "codebook/747-4-F30":
+        "dc7e73b5d48fcf2e3957c34a20c48d0be4f15a6fbc11f6af25cd13b531e65a9a",
+    "codebook/17-16-F30":
+        "85aa8437bc623ab40924ebb4dd5928a2da760e32471e8136737ad587237ad8f1",
+    "codebook/20-2-F50":
+        "0a1447962b34aadc241ccfe6cbd2cef2a5c13a0ffd83a3eca7a774c77973c04c",
+    "codebook/1048573-4-F50":
+        "9ee3c85d4b8db7c49bcf65d34c0325012b767887b8a6abe297c63c01778213be",
+    "codebook/90001-16-F50":
+        "4d7dd9e2dbade512604bfa8c746926a17bc3e476caf1079293bacdf152d70207",
+    "blob/4KiB":
+        "a0339a75928d15066525628cdb7c9dc7bdbb4b9941fc811c39d61914221199e4",
+    "bits/narrow":
+        "84f06d223132d341ffd0119f73579c147afc4123f8b6357b356d2bb0a9bd6783",
+    "bits/default":
+        "10c2181da4520b7f4ad57070ffa55d5fa7f2a4d906c4eaaf6bba3ca68ca843fb",
+    "bits/wide":
+        "c33fdd1893493ad4219102ed970ce2710e2b78120882b8133e63a375fd6bf283",
 }
+
+CODEBOOK_KEYS = [(16, 2, 30), (747, 4, 30), (17, 16, 30),
+                 (20, 2, 50), (1048573, 4, 50), (90001, 16, 50)]
+
+# (name, config, bit count); the widths are 4, 58 and 86 bits a step
+BIT_STREAMS = [
+    ("narrow", prng.GeneratorConfig(seed=1, m=3, i_num=7, i_den=4,
+                                    n=(1 << 7) - 1), 1001),
+    ("default", prng.DEFAULT_CONFIG, 100_003),
+    ("wide", prng.GeneratorConfig(seed=123456789, m=prng.DEFAULT_CONFIG.m,
+                                  i_num=prng.DEFAULT_CONFIG.i_num,
+                                  n=(1 << 89) - 1), 10_001),
+]
 
 PAYLOAD = b"quarterly ledger, owner eyes first\n" + bytes(range(256))
 
@@ -98,8 +135,30 @@ def cli_digests(workdir):
     return out
 
 
+def kernel_digests():
+    out = {}
+    for pk_sk, r_n, precision in CODEBOOK_KEYS:
+        book = fbsc._codebook(fbsc.SymmetricKey(pk_sk, r_n), precision)
+        text = "\n".join(format(e, "f") for e in book)
+        out[f"codebook/{pk_sk}-{r_n}-F{precision}"] = _sha256(text.encode())
+    data = hashlib.shake_256(b"golden blob data").digest(4096)
+    keystream = hashlib.shake_256(b"golden blob keystream").digest(4096)
+    key = fbsc.SymmetricKey(pk_sk=1048573, r_n=4)
+    blob = fbsc.EncryptedBlob(
+        r_n=key.r_n, f_digits=fbsc.DEFAULT_PRECISION,
+        key_fingerprint=key.fingerprint, n1_len=16, n2_len=8, epoch=3,
+        elements=fbsc.encrypt_stream(data, key, keystream))
+    out["blob/4KiB"] = _sha256(fbsc.serialize_blob(blob))
+    for name, cfg, count in BIT_STREAMS:
+        bits = prng.generate_bits(cfg, count)
+        assert count % cfg.bits_per_step and len(bits) == count
+        out[f"bits/{name}"] = _sha256(bits.tobytes())
+    return out
+
+
 def all_digests(workdir):
-    return {**simulation_digests(), **cli_digests(workdir)}
+    return {**simulation_digests(), **cli_digests(workdir),
+            **kernel_digests()}
 
 
 def test_simulation_matches_golden():
@@ -110,7 +169,13 @@ def test_simulation_matches_golden():
 def test_cli_outputs_match_golden(tmp_path):
     got = cli_digests(tmp_path)
     assert got == {k: v for k, v in GOLDEN.items()
-                   if not k.startswith("sim/")}
+                   if k.split("/")[0] in ("keygen", "encrypt", "corr")}
+
+
+def test_kernels_match_golden():
+    got = kernel_digests()
+    assert got == {k: v for k, v in GOLDEN.items()
+                   if k.split("/")[0] in ("codebook", "blob", "bits")}
 
 
 def test_digests_do_not_depend_on_string_hashing(tmp_path):

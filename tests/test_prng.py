@@ -121,6 +121,37 @@ def test_fourteen_bits_are_low_bits_of_one_iteration():
     assert prng.generate_bits(cfg, 14).tolist() == expected
 
 
+def _reference_bits(cfg, count):
+    # each state's low bits_per_step bits, most significant first
+    k = cfg.bits_per_step
+    words = prng.generate_values(cfg, -(-count // k))
+    return [(w >> j) & 1 for w in words for j in range(k - 1, -1, -1)][:count]
+
+
+@pytest.mark.parametrize("n, seed", [
+    ((1 << 4) + 1, 4),      # 2 bits a step
+    ((1 << 7) - 1, 1),      # 4
+    (2039, 1),              # 8, one whole byte
+    ((1 << 61) - 1, 1),     # 58, the default width
+    ((1 << 67) - 1, 1),     # 64
+    ((1 << 89) - 1, 1),     # 86, wider than a machine word
+    ((1 << 127) - 1, 1),    # 124
+])
+def test_bits_match_per_bit_reference_at_every_width(n, seed):
+    cfg = prng.GeneratorConfig(seed=seed, m=3, i_num=7, i_den=4, n=n)
+    for count in (1, cfg.bits_per_step, 3 * cfg.bits_per_step + 1):
+        bits = prng.generate_bits(cfg, count)
+        assert bits.dtype == np.uint8
+        assert bits.tolist() == _reference_bits(cfg, count)
+
+
+def test_bits_from_a_collapsing_state_are_rejected():
+    # the first step is 3 * 2 * 3 // 2 = 9, which is 0 mod 9
+    cfg = prng.GeneratorConfig(seed=3, m=2, i_num=3, i_den=2, n=9)
+    with pytest.raises(prng.DegenerateStateError):
+        prng.generate_bits(cfg, 4)
+
+
 def test_bytes_pack_the_same_bits():
     cfg = prng.DEFAULT_CONFIG
     raw = prng.generate_bytes(cfg, 32)

@@ -233,6 +233,21 @@ def test_repeated_revoke_lists_only_current_holders():
     assert sim.cloud_blobs[fid] == blob_before
 
 
+def test_owner_cannot_be_their_own_sharer():
+    sim = world()
+    with pytest.raises(ValidationError):
+        sim.store_file("olive", PAYLOAD, ["olive", "rena"])
+    assert sim.policy_db.policies == {}
+    assert sim.cloud_blobs == {}
+    sim, fid, assignment = stored_world()
+    trace = sim.bus.trace_hash()
+    with pytest.raises(ValidationError):
+        sim.re_grant("olive", fid, "olive")
+    assert sim.bus.trace_hash() == trace
+    assert sim.policy_db.get_policy(fid).authorized_user_ids == {"rena", "sam"}
+    assert sim.request_access("rena", fid) == PAYLOAD
+
+
 def test_only_the_owner_revokes():
     sim, fid, _ = stored_world()
     with pytest.raises(acl.NotOwnerError):
