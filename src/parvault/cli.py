@@ -9,10 +9,10 @@ flags produce byte-identical artifacts.
 The vault model deserves a note. A journal (vault.jsonl in the output
 directory) records every command as one JSON line; each invocation
 rebuilds the whole deterministic world by replaying the journal, applies
-its own command, and appends it. State on disk is therefore nothing but
-the command history plus the cloud-visible artifacts (blobs), which is
-exactly the trust model: anyone holding the output directory holds what
-the cloud would hold.
+its own command, and appends it. State on disk is therefore the command
+history plus the cloud-visible artifacts (blobs). The output directory is
+not what the cloud would hold: each `share` record keeps the shared
+file's plaintext as `data_hex`, so the journal must stay with the owner.
 """
 
 import argparse
@@ -70,7 +70,12 @@ def _read_keyfile(path):
             if not line or line.startswith(("#", "[")):
                 continue
             name, _, value = line.partition("=")
-            values[name.strip()] = int(value.strip())
+            try:
+                values[name.strip()] = int(value.strip())
+            except ValueError:
+                raise ValidationError(f"key file {path!r}: {name.strip()} = "
+                                      f"{value.strip()!r} is not an integer"
+                                      ) from None
     for need in ("pk_sk", "r_n", "stream_seed"):
         if need not in values:
             raise ValidationError(f"key file {path!r} lacks {need}")
@@ -114,18 +119,12 @@ def _cmd_encrypt(args):
         keypath = os.path.join(out, stem + ".key")
         _write_keyfile(keypath, key, stream_seed)
         print(f"wrote {keypath}")
-    pad_cfg, ks_cfg = _stream_configs(stream_seed)
-    padded = prng.pad_message(data, pad_cfg)
-    keystream = prng.generate_bytes(ks_cfg, len(padded))
-    elements = fbsc.encrypt_stream(padded, key, keystream, args.precision)
-    blob = fbsc.EncryptedBlob(r_n=key.r_n, f_digits=args.precision,
-                              key_fingerprint=key.fingerprint,
-                              n1_len=prng.N1_LENGTH, n2_len=prng.N2_REPEATS,
-                              epoch=0, elements=elements)
+    blob = fbsc.seal(data, key, *_stream_configs(stream_seed), args.precision)
     blobpath = os.path.join(out, stem + ".blob")
     with open(blobpath, "wb") as fh:
-        fh.write(fbsc.serialize_blob(blob.public_copy()))
-    print(f"wrote {blobpath}  ({len(data)} bytes -> {len(elements)} elements)")
+        fh.write(fbsc.serialize_blob(blob))
+    print(f"wrote {blobpath}  ({len(data)} bytes -> {len(blob.elements)} "
+          "elements)")
     return 0
 
 
@@ -134,12 +133,8 @@ def _cmd_decrypt(args):
     with open(args.blob, "rb") as fh:
         blob = fbsc.parse_blob(fh.read())
     key, stream_seed = _read_keyfile(args.key)
-    if blob.key_fingerprint != key.fingerprint:
-        raise ValidationError("key file does not match the blob fingerprint")
     _, ks_cfg = _stream_configs(stream_seed)
-    keystream = prng.generate_bytes(ks_cfg, len(blob.elements))
-    padded = fbsc.decrypt_stream(blob.elements, key, keystream, blob.f_digits)
-    data = prng.unpad_message(padded)
+    data = fbsc.unseal(blob, key, ks_cfg)
     stem = os.path.splitext(os.path.basename(args.blob))[0]
     outpath = os.path.join(out, stem + ".out")
     with open(outpath, "wb") as fh:
@@ -164,7 +159,11 @@ def _load_vault(args):
     records = []
     if os.path.exists(path):
         with open(path) as fh:
-            records = [json.loads(line) for line in fh if line.strip()]
+            try:
+                records = [json.loads(line) for line in fh if line.strip()]
+            except json.JSONDecodeError as exc:
+                raise ValidationError(f"{path!r} holds a line that is not "
+                                      f"JSON: {exc}") from None
     if records:
         header = records[0]
         if header.get("cmd") != "_config":
@@ -250,9 +249,7 @@ def _cmd_access(args):
     try:
         data = sim.request_access(args.user, args.file,
                                   owner_approves=approve)
-    except (protocol.AccessDeniedError, protocol.ApprovalWithheldError,
-            secretshare.InconsistentPointError,
-            secretshare.ThresholdError) as exc:
+    except protocol.DENIALS:
         rec["expect"] = "deny"
         _append_vault(args, records, [rec], params)
         raise
@@ -335,18 +332,6 @@ def _cmd_analyze_nist(args):
     return 0
 
 
-def _encrypted_pixels(args, image):
-    """Encrypt the image in-memory and map elements back onto its grid."""
-    key = fbsc.generate_key(_seeded_config(args, "corr"), pk_bits=56)
-    stream_seed = digest64_ints(args.seed, digest64_text("corr-stream"))
-    pad_cfg, ks_cfg = _stream_configs(stream_seed)
-    padded = prng.pad_message(image.tobytes(), pad_cfg)
-    keystream = prng.generate_bytes(ks_cfg, len(padded))
-    elements = fbsc.encrypt_stream(padded, key, keystream, args.precision)
-    core = elements[prng.N1_LENGTH:prng.N1_LENGTH + image.size]
-    return statsuite.element_image(core, image.shape)
-
-
 def _cmd_analyze_corr(args):
     out = _ensure_out(args)
     image = statsuite.load_pgm(args.input)
@@ -354,14 +339,17 @@ def _cmd_analyze_corr(args):
     if args.encrypted:
         with open(args.encrypted, "rb") as fh:
             blob = fbsc.parse_blob(fh.read())
-        core = blob.elements[blob.n1_len:blob.n1_len + image.size]
-        if len(core) != image.size:
-            raise ValidationError(
-                f"blob holds {len(blob.elements)} elements; cannot cover a "
-                f"{image.shape[0]}x{image.shape[1]} image")
-        enc_img = statsuite.element_image(core, image.shape)
     else:
-        enc_img = _encrypted_pixels(args, image)
+        key = fbsc.generate_key(_seeded_config(args, "corr"), pk_bits=56)
+        stream_seed = digest64_ints(args.seed, digest64_text("corr-stream"))
+        blob = fbsc.seal(image.tobytes(), key, *_stream_configs(stream_seed),
+                         args.precision)
+    core = blob.elements[blob.n1_len:blob.n1_len + image.size]
+    if len(core) != image.size:
+        raise ValidationError(
+            f"blob holds {len(blob.elements)} elements; cannot cover a "
+            f"{image.shape[0]}x{image.shape[1]} image")
+    enc_img = statsuite.element_image(core, image.shape)
     rows = []
     for d in ("h", "v", "d"):
         orig = statsuite.adjacent_correlation(image, d, 16384, seed=args.seed)

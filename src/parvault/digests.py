@@ -1,12 +1,11 @@
 """Non-cryptographic 64-bit digests used for binding and attribute mapping.
 
 The scheme needs a fixed, documented, cheap 64-bit digest in several places:
-file-name binding of symmetric keys, attribute-to-coefficient derivation for
-the sharing polynomial, per-point binding codes, and the key fingerprint kept
-in the blob header. FNV-1a (64-bit) is used throughout: offset basis
-14695981039346656037, prime 1099511628211, one XOR-and-multiply round per
-octet. It is deliberately not collision resistant; nothing here treats it as a
-cryptographic hash.
+attribute-to-coefficient derivation for the sharing polynomial, per-point
+binding codes, and the key fingerprint kept in the blob header. FNV-1a
+(64-bit) is used throughout: offset basis 14695981039346656037, prime
+1099511628211, one XOR-and-multiply round per octet. It is deliberately not
+collision resistant; nothing here treats it as a cryptographic hash.
 """
 
 FNV64_OFFSET = 14695981039346656037

@@ -25,6 +25,12 @@ indexes the codebook, decrypt looks each element up in its inverse
 an element missing from the inverse table, which a wrong key or a damaged
 blob produces, is inverted by the root-based anti_involute, so those still
 fail with RoundoffError (or, non-strictly, map to the nearest symbol).
+
+`seal` and `unseal` are the storage path, so no caller handles the
+padding or the header fields: seal pads a payload (N1 || data || N2),
+draws its keystream, encrypts it and returns the EncryptedBlob with the
+power byte zeroed; unseal checks the key's fingerprint, decrypts such a
+blob and strips the padding.
 """
 
 import re
@@ -267,40 +273,6 @@ def _nearest_symbol(value, key, precision):
 
 
 # ---------------------------------------------------------------------------
-# file-key binding
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class FileKeyBinding:
-    """A key XOR-folded with the digest of the file name it protects."""
-
-    file_name_digest: int
-    bound_key: int
-
-
-def bind_file_key(key_value, file_name):
-    """FK = key XOR digest64(name); rename-safe via unbind/rebind."""
-    if not file_name:
-        raise ValidationError("file name must be non-empty")
-    digest = digest64_text(file_name)
-    return FileKeyBinding(file_name_digest=digest, bound_key=key_value ^ digest)
-
-
-def unbind_file_key(binding, file_name):
-    if not file_name:
-        raise ValidationError("file name must be non-empty")
-    digest = digest64_text(file_name)
-    if digest != binding.file_name_digest:
-        raise ValidationError("digest mismatch: wrong file name for binding")
-    return binding.bound_key ^ digest
-
-
-def rebind_file_key(binding, old_name, new_name):
-    """Move a binding to a renamed file without touching the raw key."""
-    return bind_file_key(unbind_file_key(binding, old_name), new_name)
-
-
-# ---------------------------------------------------------------------------
 # blob format
 # ---------------------------------------------------------------------------
 
@@ -317,8 +289,8 @@ class BlobFormatError(ParvaultError):
 class EncryptedBlob:
     """Wire form of a ciphertext: framing metadata plus the element list.
 
-    r_n travels in the header for local copies but is zeroed on anything
-    handed to storage, so a blob alone never discloses the power.
+    The header keeps a byte for r_n, but seal writes 0 there, so a blob
+    alone never discloses the power.
     """
 
     r_n: int
@@ -328,13 +300,6 @@ class EncryptedBlob:
     n2_len: int
     epoch: int
     elements: list
-
-    def public_copy(self):
-        """The storage-safe twin: identical but with the power scrubbed."""
-        return EncryptedBlob(r_n=0, f_digits=self.f_digits,
-                             key_fingerprint=self.key_fingerprint,
-                             n1_len=self.n1_len, n2_len=self.n2_len,
-                             epoch=self.epoch, elements=list(self.elements))
 
 
 def format_element(value, f_digits):
@@ -376,6 +341,15 @@ def serialize_blob(blob):
     return bytes(head) + body.encode("ascii") + (b"\n" if blob.elements else b"")
 
 
+def _parse_line(line, f_digits):
+    # serialize_blob writes exactly f_digits fractional digits
+    value = parse_element(line.decode("ascii"))
+    if len(line.partition(b".")[2]) != f_digits:
+        raise BlobFormatError(f"bad element {line!r}: want exactly "
+                              f"{f_digits} fractional digits")
+    return value
+
+
 def parse_blob(raw):
     if len(raw) < _HEADER_LEN or raw[:4] != BLOB_MAGIC:
         raise BlobFormatError("missing blob magic")
@@ -394,9 +368,39 @@ def parse_blob(raw):
     if len(lines) != count:
         raise BlobFormatError(f"element count {len(lines)} != header {count}")
     # each distinct line is checked and parsed once
-    values = {ln: parse_element(ln.decode("ascii"))
-              for ln in dict.fromkeys(lines)}
+    values = {ln: _parse_line(ln, f_digits) for ln in dict.fromkeys(lines)}
     elements = list(map(values.__getitem__, lines))
     return EncryptedBlob(r_n=r_n, f_digits=f_digits, key_fingerprint=fingerprint,
                          n1_len=n1_len, n2_len=n2_len, epoch=epoch,
                          elements=elements)
+
+
+# ---------------------------------------------------------------------------
+# the storage path
+# ---------------------------------------------------------------------------
+
+def seal(data, key, pad_config, keystream_config, precision, epoch=0):
+    """Pad, encrypt and frame data as the blob that goes to storage.
+
+    The payload is framed as N1 || data || N2 with padding drawn from
+    pad_config at `epoch`, XORed with keystream_config's stream and mapped
+    through the key's codebook. The blob's r_n is 0.
+    """
+    padded = prng.pad_message(data, pad_config, epoch=epoch)
+    keystream = prng.generate_bytes(keystream_config, len(padded))
+    return EncryptedBlob(r_n=0, f_digits=precision,
+                         key_fingerprint=key.fingerprint,
+                         n1_len=prng.N1_LENGTH, n2_len=prng.N2_REPEATS,
+                         epoch=epoch,
+                         elements=encrypt_stream(padded, key, keystream,
+                                                 precision))
+
+
+def unseal(blob, key, keystream_config):
+    """Invert seal: check the key against the blob's fingerprint, decrypt
+    the elements and strip the padding."""
+    if blob.key_fingerprint != key.fingerprint:
+        raise ValidationError("key does not match the blob fingerprint")
+    keystream = prng.generate_bytes(keystream_config, len(blob.elements))
+    padded = decrypt_stream(blob.elements, key, keystream, blob.f_digits)
+    return prng.unpad_message(padded)

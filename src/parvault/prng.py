@@ -132,11 +132,6 @@ def generate_bytes(config, nbytes):
     return np.packbits(bits).tobytes()
 
 
-def generate_matrix(config, rows, cols):
-    """Bit matrix reshape of the stream; same bits as generate_bits."""
-    return generate_bits(config, rows * cols).reshape(rows, cols)
-
-
 def _epoch_subconfig(config, epoch):
     # independent draw stream for padding material at a given logical epoch
     return config.reseeded(config.seed + (epoch + 1) * _EPOCH_SALT)
@@ -175,18 +170,18 @@ def unpad_message(padded):
 
 
 # ---------------------------------------------------------------------------
-# config and golden-vector files
+# config files
 # ---------------------------------------------------------------------------
 
 def load_generator_config(path):
-    """Read a [prng] section with keys seed, m, i_num, i_den, n."""
+    """Read a [prng] section with integer keys seed, m, i_num, i_den, n."""
     parser = configparser.ConfigParser()
-    with open(path) as fh:
-        parser.read_file(fh)
-    if "prng" not in parser:
-        raise ValidationError("config file has no [prng] section")
-    sec = parser["prng"]
     try:
+        with open(path) as fh:
+            parser.read_file(fh)
+        if "prng" not in parser:
+            raise ValidationError("config file has no [prng] section")
+        sec = parser["prng"]
         return GeneratorConfig(
             seed=int(sec["seed"]),
             m=int(sec["m"]),
@@ -196,30 +191,6 @@ def load_generator_config(path):
         )
     except KeyError as exc:
         raise ValidationError(f"config missing key {exc}") from exc
-
-
-def save_generator_config(config, path):
-    parser = configparser.ConfigParser()
-    parser["prng"] = {
-        "seed": str(config.seed),
-        "m": str(config.m),
-        "i_num": str(config.i_num),
-        "i_den": str(config.i_den),
-        "n": str(config.n),
-    }
-    with open(path, "w") as fh:
-        parser.write(fh)
-
-
-def write_vector(config, count, path):
-    """Golden-vector file: one decimal state per line."""
-    values = generate_values(config, count)
-    with open(path, "w") as fh:
-        for v in values:
-            fh.write(f"{v}\n")
-    return values
-
-
-def read_vector(path):
-    with open(path) as fh:
-        return [int(line) for line in fh if line.strip()]
+    except (ValueError, configparser.Error) as exc:
+        first_line = str(exc).partition("\n")[0]
+        raise ValidationError(f"config file {path!r}: {first_line}") from None

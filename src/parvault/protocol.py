@@ -55,6 +55,11 @@ class ReencryptionError(ParvaultError):
     """Re-keying could not complete; the old blob stays authoritative."""
 
 
+# the errors by which an access request is refused
+DENIALS = (AccessDeniedError, ApprovalWithheldError, InconsistentPointError,
+           ThresholdError)
+
+
 @dataclass(frozen=True)
 class SimMessage:
     seq: int
@@ -125,13 +130,6 @@ class Simulation:
         return fbsc.generate_key(cfg, pk_bits=self.pk_bits,
                                  r_n=self.key_power)
 
-    def _keystream_for(self, file_id, key_epoch, length):
-        cfg = self._sub_config("keystream", file_id, key_epoch)
-        return prng.generate_bytes(cfg, length)
-
-    def _pad_config(self, file_id):
-        return self._sub_config("padding", file_id, 0)
-
     # -- registration --------------------------------------------------------
 
     def register(self, user_id, credentials, user_type="user"):
@@ -199,10 +197,10 @@ class Simulation:
         if a0 >= self.p:
             raise rsacrt.PayloadTooLargeError(
                 "framed key exceeds the field prime; raise p or lower pk_bits")
-        padded = prng.pad_message(plaintext, self._pad_config(file_id),
-                                  epoch=key_epoch)
-        keystream = self._keystream_for(file_id, key_epoch, len(padded))
-        elements = fbsc.encrypt_stream(padded, key, keystream, self.precision)
+        raw_public = fbsc.serialize_blob(fbsc.seal(
+            plaintext, key, self._sub_config("padding", file_id, 0),
+            self._sub_config("keystream", file_id, key_epoch),
+            self.precision, epoch=key_epoch))
 
         owner = self.policy_db.get_user(owner_id)
         poly = secretshare.derive_coefficients(owner.credentials, a0, self.p)
@@ -218,13 +216,6 @@ class Simulation:
             public = self.user_state[uid]["rsa"].public
             wrapped[uid] = rsacrt.wrap(key.r_n, key.pk_sk, public).p_k
         file_kc = tokens["org_server"]["kc"]
-
-        blob = fbsc.EncryptedBlob(
-            r_n=key.r_n, f_digits=self.precision,
-            key_fingerprint=key.fingerprint,
-            n1_len=prng.N1_LENGTH, n2_len=prng.N2_REPEATS,
-            epoch=key_epoch, elements=elements)
-        raw_public = fbsc.serialize_blob(blob.public_copy())
 
         # commit point: server bookkeeping, point delivery, cloud upload
         self.server_files[file_id] = {
@@ -285,11 +276,8 @@ class Simulation:
         self.bus.send("org_server", "cloud", "BlobGet", file_id=file_id)
         blob = fbsc.parse_blob(raw)
         key = fbsc.SymmetricKey(pk_sk=pk_sk, r_n=r_n)
-        keystream = self._keystream_for(file_id, blob.epoch,
-                                        len(blob.elements))
-        padded = fbsc.decrypt_stream(blob.elements, key, keystream,
-                                     blob.f_digits)
-        return prng.unpad_message(padded)
+        return fbsc.unseal(blob, key,
+                           self._sub_config("keystream", file_id, blob.epoch))
 
     def request_access(self, user_id, file_id, owner_approves=True,
                        credentials=None, token=None):
@@ -530,7 +518,7 @@ def replay_commands(sim, steps):
     recorded rather than raised; outcomes lists one record per step.
     """
     outcomes = []
-    for idx, step in enumerate(steps):
+    for idx, step in enumerate(map(_Step, steps)):
         cmd = step.get("cmd")
         rec = {"step": idx, "cmd": cmd, "ok": True}
         try:
@@ -553,8 +541,7 @@ def replay_commands(sim, steps):
                         owner_approves=step.get("owner_approves", True))
                     rec["result"] = "grant"
                     rec["size"] = len(data)
-                except (AccessDeniedError, ApprovalWithheldError,
-                        InconsistentPointError, ThresholdError) as exc:
+                except DENIALS as exc:
                     rec["result"] = "deny"
                     rec["detail"] = str(exc)
                 rec["ok"] = rec["result"] == expect
@@ -578,6 +565,13 @@ def replay_commands(sim, steps):
     return outcomes
 
 
+class _Step(dict):
+    # a command record whose missing field fails the step, not the replay
+    def __missing__(self, name):
+        raise ValidationError(f"{self.get('cmd')!r} step lacks field "
+                              f"{name!r}")
+
+
 def run_script(script_path, trace_path=None, seed=2024, rsa_bits=512):
     """Replay a script file; returns (sim, outcomes).
 
@@ -586,7 +580,11 @@ def run_script(script_path, trace_path=None, seed=2024, rsa_bits=512):
     """
     sim = Simulation(seed=seed, rsa_bits=rsa_bits)
     with open(script_path) as fh:
-        steps = [json.loads(line) for line in fh if line.strip()]
+        try:
+            steps = [json.loads(line) for line in fh if line.strip()]
+        except json.JSONDecodeError as exc:
+            raise ValidationError(f"{script_path!r} holds a line that is "
+                                  f"not JSON: {exc}") from None
     outcomes = replay_commands(sim, steps)
     if trace_path:
         with open(trace_path, "w") as fh:

@@ -252,32 +252,7 @@ def save_private(keypair, path):
             fh.write(f"{name} = {getattr(keypair, name)}\n")
 
 
-def load_private(path):
-    fields = _parse_fields(path, _PRIVATE_FIELDS)
-    return RsaKeyPair(**fields)
-
-
 def save_public(public, path):
     e, n = public
     with open(path, "w") as fh:
         fh.write(f"n = {n}\ne = {e}\n")
-
-
-def load_public(path):
-    fields = _parse_fields(path, ("n", "e"))
-    return (fields["e"], fields["n"])
-
-
-def _parse_fields(path, names):
-    out = {}
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, _, value = line.partition("=")
-            out[key.strip()] = int(value.strip())
-    missing = [n for n in names if n not in out]
-    if missing:
-        raise ValidationError(f"key file missing fields {missing}")
-    return {n: out[n] for n in names}

@@ -12,7 +12,6 @@ hiding argument the adversarial tests brute-force at p=101.
 The point with X=0 is the secret itself and is never issued.
 """
 
-import json
 from dataclasses import dataclass
 
 from .digests import digest64_text, digest64_ints
@@ -133,20 +132,6 @@ def binding_code(sec_key, point, p=DEFAULT_PRIME):
     return BindingCode(kc=digest64_ints(sec_key, point.x, point.y) % p)
 
 
-def lagrange_basis(j, x_eval, xs, p=DEFAULT_PRIME):
-    """l_j(x_eval) for nodes xs over Z_p, inverses by extended Euclid."""
-    xs = list(xs)
-    if len(set(xs)) != len(xs):
-        raise DuplicatePointError("interpolation nodes must be distinct")
-    num, den = 1, 1
-    for m, xm in enumerate(xs):
-        if m == j:
-            continue
-        num = num * (x_eval - xm) % p
-        den = den * (xs[j] - xm) % p
-    return num * pow(den, -1, p) % p
-
-
 def reconstruct_secret(points, p=DEFAULT_PRIME):
     """Rebuild (a0, policy) from the first three points; verify the rest.
 
@@ -179,26 +164,10 @@ def reconstruct_secret(points, p=DEFAULT_PRIME):
 
 
 # ---------------------------------------------------------------------------
-# authorization-point files
+# authorization-point records
 # ---------------------------------------------------------------------------
 
 def point_record(point, p, kc, file_id, epoch):
     """The JSON-serializable token handed to a participant."""
     return {"p": p, "x": point.x, "y": point.y, "role": point.role,
             "kc": kc, "file_id": file_id, "epoch": epoch}
-
-
-def write_point_file(path, point, p, kc, file_id, epoch):
-    with open(path, "w") as fh:
-        json.dump(point_record(point, p, kc, file_id, epoch), fh, indent=2)
-        fh.write("\n")
-
-
-def read_point_file(path):
-    with open(path) as fh:
-        rec = json.load(fh)
-    for field in ("p", "x", "y", "role", "kc", "file_id", "epoch"):
-        if field not in rec:
-            raise ValidationError(f"point file missing field {field!r}")
-    point = SharePoint(x=rec["x"], y=rec["y"], role=rec["role"])
-    return point, rec

@@ -29,13 +29,10 @@ from .nist import (  # noqa: F401
 )
 from .pixels import (  # noqa: F401
     bits_from_bytes,
-    bytes_from_bits,
     element_bytes,
     element_bits,
     element_image,
     adjacent_correlation,
-    CorrelationReport,
-    correlation_report,
     histogram_chi_square,
 )
 from .images import (  # noqa: F401

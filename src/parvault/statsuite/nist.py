@@ -40,11 +40,6 @@ class TestResult:
     note: str = ""
     stats: dict = field(default_factory=dict)
 
-    def min_p(self):
-        if isinstance(self.p_value, (list, tuple)):
-            return min(self.p_value) if self.p_value else float("nan")
-        return self.p_value
-
 
 def _as_bits(bits):
     arr = np.asarray(bits, dtype=np.uint8)

@@ -12,7 +12,6 @@ up immediately as structure in the derived bytes.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaincc
@@ -23,10 +22,6 @@ from ..errors import ValidationError
 def bits_from_bytes(data):
     """Unpack bytes into an array of 0/1, most significant bit first."""
     return np.unpackbits(np.frombuffer(bytes(data), dtype=np.uint8))
-
-
-def bytes_from_bits(bits):
-    return np.packbits(np.asarray(bits, dtype=np.uint8)).tobytes()
 
 
 def element_bytes(elements):
@@ -94,23 +89,6 @@ def adjacent_correlation(image, direction, pair_count=16384, seed=0):
         raise ValidationError("sampled pixels have zero variance")
     cov = ((x - x.mean()) * (y - y.mean())).mean()
     return float(cov / math.sqrt(vx * vy))
-
-
-@dataclass(frozen=True)
-class CorrelationReport:
-    direction: str
-    coefficient: float
-    pair_count: int
-
-
-def correlation_report(image, direction, pair_count=16384, seed=0):
-    """adjacent_correlation with its inputs recorded alongside the value."""
-    img = np.asarray(image)
-    di, dj = _OFFSETS[direction.lower()]
-    available = (img.shape[0] - di) * (img.shape[1] - dj)
-    coeff = adjacent_correlation(image, direction, pair_count, seed)
-    return CorrelationReport(direction=direction.lower(), coefficient=coeff,
-                             pair_count=min(pair_count, available))
 
 
 def histogram_chi_square(data):

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -96,6 +97,93 @@ def test_published_blob_carries_no_power_byte(tmp_path):
     assert run("encrypt", plain, "--out", tmp_path, "--seed", 1) == 0
     blob = fbsc.parse_blob((tmp_path / "m.blob").read_bytes())
     assert blob.r_n == 0
+
+
+# ---------------------------------------------------------------------------
+# malformed input: one error line, exit 1
+# ---------------------------------------------------------------------------
+
+def _encrypted(tmp_path):
+    plain = tmp_path / "m.bin"
+    plain.write_bytes(SECRET)
+    assert run("encrypt", plain, "--out", tmp_path, "--seed", 1) == 0
+    return tmp_path / "m.blob", tmp_path / "m.key"
+
+
+def _shared_vault(tmp_path):
+    doc = tmp_path / "doc.bin"
+    doc.write_bytes(SECRET)
+    vault = tmp_path / "vault"
+    assert run("share", doc, "--out", vault, "--owner", "olive",
+               "--users", "rena,sam") == 0
+    return vault
+
+
+def key_file_with_a_word(tmp_path):
+    blob, key = _encrypted(tmp_path)
+    key.write_text(re.sub(r"pk_sk = \d+", "pk_sk = abc", key.read_text()))
+    return (["decrypt", blob, "--out", tmp_path, "--key", key],
+            "'abc' is not an integer")
+
+
+def config_with_a_word(tmp_path):
+    config = tmp_path / "gen.ini"
+    config.write_text("[prng]\nseed = 42\nm = x\ni_num = 11\n")
+    plain = tmp_path / "m.bin"
+    plain.write_bytes(SECRET)
+    return (["encrypt", plain, "--out", tmp_path, "--config", config],
+            "invalid literal for int()")
+
+
+def journal_line_not_json(tmp_path):
+    vault = _shared_vault(tmp_path)
+    with (vault / "vault.jsonl").open("a") as fh:
+        fh.write("{not json\n")
+    return (["access", "doc.bin", "--out", vault, "--user", "rena"],
+            "not JSON")
+
+
+def journal_record_without_a_field(tmp_path):
+    vault = _shared_vault(tmp_path)
+    with (vault / "vault.jsonl").open("a") as fh:
+        fh.write(json.dumps({"cmd": "access", "user": "rena"}) + "\n")
+    return (["access", "doc.bin", "--out", vault, "--user", "rena"],
+            "lacks field 'file'")
+
+
+def script_not_json(tmp_path):
+    script = tmp_path / "s.jsonl"
+    script.write_text("register olive\n")
+    return ["simulate", script, "--out", tmp_path], "not JSON"
+
+
+def element_one_digit_short(tmp_path):
+    blob, key = _encrypted(tmp_path)
+    blob.write_bytes(blob.read_bytes()[:-2] + b"\n")
+    return (["decrypt", blob, "--out", tmp_path, "--key", key],
+            "fractional digits")
+
+
+def element_one_digit_extra(tmp_path):
+    blob, key = _encrypted(tmp_path)
+    blob.write_bytes(blob.read_bytes()[:-1] + b"0\n")
+    return (["decrypt", blob, "--out", tmp_path, "--key", key],
+            "fractional digits")
+
+
+@pytest.mark.parametrize("case", [
+    key_file_with_a_word, config_with_a_word, journal_line_not_json,
+    journal_record_without_a_field, script_not_json,
+    element_one_digit_short, element_one_digit_extra,
+], ids=lambda case: case.__name__)
+def test_malformed_input_is_one_error_line(tmp_path, capsys, case):
+    argv, expected = case(tmp_path)
+    capsys.readouterr()
+    assert run(*argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert expected in captured.err
 
 
 # ---------------------------------------------------------------------------

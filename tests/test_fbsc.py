@@ -1,4 +1,4 @@
-"""Involution cipher: element math, streams, binding, and the blob format."""
+"""Involution cipher: element math, streams, the blob format and sealing."""
 
 from decimal import Decimal, localcontext
 
@@ -7,11 +7,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from parvault import fbsc, prng
-from parvault.digests import digest64_text
 from parvault.errors import ValidationError
 
 KEY_16_2 = fbsc.SymmetricKey(pk_sk=16, r_n=2)
 KEY_20_3 = fbsc.SymmetricKey(pk_sk=20, r_n=3)
+SEAL_STREAMS = (prng.DEFAULT_CONFIG.reseeded(5),
+                prng.DEFAULT_CONFIG.reseeded(6))
 
 
 def keystream(n, seed=77):
@@ -253,38 +254,6 @@ def test_stream_locality_by_splicing():
 
 
 # ---------------------------------------------------------------------------
-# file-key binding
-# ---------------------------------------------------------------------------
-
-def test_zero_key_binds_to_bare_digest():
-    binding = fbsc.bind_file_key(0, "report.pdf")
-    assert binding.bound_key == digest64_text("report.pdf")
-
-
-def test_bind_unbind_is_identity():
-    binding = fbsc.bind_file_key(0xDEADBEEF, "a.jpg")
-    assert fbsc.unbind_file_key(binding, "a.jpg") == 0xDEADBEEF
-
-
-def test_rename_rebinds_without_changing_key():
-    binding = fbsc.bind_file_key(424242, "a.jpg")
-    moved = fbsc.rebind_file_key(binding, "a.jpg", "b.jpg")
-    assert moved.bound_key != binding.bound_key
-    assert fbsc.unbind_file_key(moved, "b.jpg") == 424242
-
-
-def test_unbind_with_wrong_name_rejected():
-    binding = fbsc.bind_file_key(1, "a.jpg")
-    with pytest.raises(ValidationError):
-        fbsc.unbind_file_key(binding, "c.jpg")
-
-
-def test_empty_name_rejected():
-    with pytest.raises(ValidationError):
-        fbsc.bind_file_key(1, "")
-
-
-# ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------
 
@@ -330,12 +299,23 @@ def test_blob_empty_elements_roundtrip():
     assert fbsc.parse_blob(fbsc.serialize_blob(blob)) == blob
 
 
-def test_public_copy_scrubs_the_power():
-    els = fbsc.encrypt_stream(b"secret", KEY_20_3, keystream(6))
-    raw = fbsc.serialize_blob(_blob(els).public_copy())
+def test_seal_scrubs_the_power():
+    blob = fbsc.seal(b"secret", KEY_20_3, *SEAL_STREAMS,
+                     fbsc.DEFAULT_PRECISION)
+    assert blob.r_n == 0
+    raw = fbsc.serialize_blob(blob)
     assert raw[5] == 0
-    assert fbsc.parse_blob(raw).r_n == 0
-    assert fbsc.parse_blob(raw).elements == els
+    assert fbsc.parse_blob(raw) == blob
+
+
+def test_unseal_inverts_seal_at_any_epoch():
+    pad_cfg, ks_cfg = SEAL_STREAMS
+    blobs = [fbsc.seal(b"payload", KEY_20_3, pad_cfg, ks_cfg, 30, epoch=e)
+             for e in (0, 3)]
+    assert blobs[0].elements != blobs[1].elements
+    for blob in blobs:
+        assert len(blob.elements) == blob.n1_len + 7 + blob.n2_len
+        assert fbsc.unseal(blob, KEY_20_3, ks_cfg) == b"payload"
 
 
 def test_blob_bad_magic_rejected():
@@ -374,6 +354,18 @@ def test_blob_with_a_non_fixed_point_element_rejected(bad):
     lines = body.split(b"\n")
     lines[1] = bad.encode()
     with pytest.raises(fbsc.BlobFormatError, match="bad element"):
+        fbsc.parse_blob(head + b"\n".join(lines))
+
+
+@pytest.mark.parametrize("edit", [lambda ln: ln[:-1], lambda ln: ln + b"7"],
+                         ids=["one-digit-short", "one-digit-extra"])
+def test_blob_element_without_exactly_f_digits_rejected(edit):
+    els = fbsc.encrypt_stream(b"abc", KEY_20_3, keystream(3))
+    raw = fbsc.serialize_blob(_blob(els))
+    head, body = raw[:fbsc._HEADER_LEN], raw[fbsc._HEADER_LEN:]
+    lines = body.split(b"\n")
+    lines[1] = edit(lines[1])
+    with pytest.raises(fbsc.BlobFormatError, match="fractional digits"):
         fbsc.parse_blob(head + b"\n".join(lines))
 
 

@@ -1,10 +1,14 @@
-"""Source hygiene: no dead private helpers in the package.
+"""Source hygiene: no dead helpers in the package.
 
 A private function or class (one leading underscore, not a dunder) has
 no callers outside the package by convention, so when nothing inside
-`src/parvault` names it, it is dead code. The scan counts any name or
-attribute use, and any string equal to the name (for `getattr` lookups),
-anywhere in the package.
+`src/parvault` names it, it is dead code. A public function, method or
+class is dead when nothing in the package, the demos or the benchmark
+names it: a helper that only tests call is not part of what the program
+does. The scan counts any name or attribute use, and any string equal to
+the name (for `getattr` lookups and the benchmark's traced-name tables),
+outside the definition itself. Import lists such as the `statsuite`
+re-exports are not uses.
 """
 
 import ast
@@ -13,6 +17,25 @@ from pathlib import Path
 import parvault
 
 PACKAGE = Path(parvault.__file__).resolve().parent
+REPO = Path(__file__).resolve().parents[1]
+
+# public names kept without a caller in the program, each with its reason
+PUBLIC_ALLOWLIST = {
+    "storage_overhead": "the paper's storage-overhead formula that the "
+                        "acceptance test holds serialized state to",
+    "count_user_parameters": "counts user state for the storage-overhead "
+                             "acceptance test",
+    "count_server_parameters": "counts server state for the "
+                               "storage-overhead acceptance test",
+    "Simulation.serialize_user_state": "audit surface of the "
+                                       "storage-overhead acceptance test",
+    "Simulation.serialize_server_file_state": "audit surface of the "
+                                              "storage-overhead acceptance "
+                                              "test",
+    "Simulation.serialized_server_state": "audit surface of the "
+                                          "server-ephemerality tests",
+    "save_pgm": "the writer that pairs with load_pgm",
+}
 
 
 def _private(name):
@@ -20,28 +43,70 @@ def _private(name):
                                          and name.endswith("__"))
 
 
-def _scan(files):
-    defined, used = {}, set()
-    for path in files:
+def _public(name):
+    return not name.startswith("_")
+
+
+def _definitions(tree):
+    # (qualified name, node) for every function and class, nested included
+    stack = [("", node) for node in tree.body]
+    while stack:
+        prefix, node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            yield prefix + node.name, node
+            prefix += node.name + "."
+        stack.extend((prefix, child) for child in ast.iter_child_nodes(node))
+
+
+def _named(node):
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return node.value
+    return None
+
+
+def _scan(files, wanted, use_files=()):
+    """{qualified name: "file:line"} of each definition in `files` whose
+    name `wanted` selects and that no node of `files` or `use_files` names
+    outside the definition's own lines."""
+    defined, uses = [], {}
+    for path in [*files, *use_files]:
         tree = ast.parse(path.read_text(), filename=str(path))
+        if path in files:
+            defined += [(qual, node, path) for qual, node in _definitions(tree)
+                        if wanted(node.name)]
         for node in ast.walk(tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.ClassDef)) and _private(node.name):
-                defined.setdefault(node.name, f"{path.name}:{node.lineno}")
-            elif isinstance(node, ast.Name):
-                used.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
-            elif isinstance(node, ast.Constant) and isinstance(node.value,
-                                                               str):
-                used.add(node.value)
-    return {name: where for name, where in defined.items()
-            if name not in used}
+            name = _named(node)
+            if name is not None:
+                uses.setdefault(name, []).append((path, node.lineno))
+    return {qual: f"{path.name}:{node.lineno}"
+            for qual, node, path in defined
+            if not any(where != path
+                       or not node.lineno <= line <= node.end_lineno
+                       for where, line in uses.get(node.name, ()))}
 
 
 def test_every_private_helper_is_referenced():
-    dead = _scan(sorted(PACKAGE.rglob("*.py")))
+    dead = _scan(sorted(PACKAGE.rglob("*.py")), _private)
     assert not dead, f"unreferenced private helpers: {dead}"
+
+
+def test_every_public_name_has_a_caller_outside_the_tests():
+    program = [*sorted((REPO / "demos").glob("*.py")),
+               *sorted((REPO / "perfbench").glob("*.py"))]
+    dead = _scan(sorted(PACKAGE.rglob("*.py")), _public, program)
+    dead = {q: w for q, w in dead.items() if q not in PUBLIC_ALLOWLIST}
+    assert not dead, f"public names only tests call: {dead}"
+
+
+def test_allowlisted_names_exist():
+    defined = {qual for path in PACKAGE.rglob("*.py")
+               for qual, _ in _definitions(ast.parse(path.read_text()))}
+    assert set(PUBLIC_ALLOWLIST) <= defined
 
 
 def test_scan_flags_an_unreferenced_helper(tmp_path):
@@ -49,4 +114,14 @@ def test_scan_flags_an_unreferenced_helper(tmp_path):
     mod.write_text("def _used():\n    return 1\n\n"
                    "def _dead():\n    return _used()\n\n"
                    "class _Orphan:\n    def __init__(self):\n        pass\n")
-    assert set(_scan([mod])) == {"_dead", "_Orphan"}
+    assert set(_scan([mod], _private)) == {"_dead", "_Orphan"}
+
+
+def test_public_scan_ignores_self_reference_and_import_lists(tmp_path):
+    mod = tmp_path / "mod.py"
+    mod.write_text("def loop(n):\n    return loop(n - 1) if n else 0\n\n"
+                   "class Box:\n    def size(self):\n        return 1\n\n"
+                   "def called():\n    return Box()\n")
+    user = tmp_path / "user.py"
+    user.write_text("from mod import loop, size\n\ncalled()\n")
+    assert set(_scan([mod], _public, [user])) == {"loop", "Box.size"}

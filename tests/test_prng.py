@@ -45,15 +45,6 @@ def test_golden_vector_agrees_with_rational_oracle():
     assert oracle == [int(line) for line in GOLDEN.read_text().split()]
 
 
-def test_write_and_read_vector_roundtrip(tmp_path):
-    path = tmp_path / "vec.txt"
-    written = prng.write_vector(prng.DEFAULT_CONFIG, 8, path)
-    assert prng.read_vector(path) == written
-    # one decimal value per line, nothing else
-    lines = path.read_text().splitlines()
-    assert [int(s) for s in lines] == written
-
-
 def test_exactness_against_rational_oracle_ten_thousand_steps():
     cfg = prng.DEFAULT_CONFIG
     state = cfg.seed % cfg.n
@@ -159,20 +150,8 @@ def test_bytes_pack_the_same_bits():
     assert np.packbits(bits).tobytes() == raw
 
 
-def test_matrix_is_reshaped_stream():
-    cfg = prng.DEFAULT_CONFIG
-    mat = prng.generate_matrix(cfg, 256, 256)
-    assert mat.shape == (256, 256)
-    assert np.array_equal(mat.ravel(), prng.generate_bits(cfg, 65536))
-
-
-def test_one_by_one_matrix_is_first_bit():
-    cfg = prng.DEFAULT_CONFIG
-    assert prng.generate_matrix(cfg, 1, 1)[0, 0] == prng.generate_bits(cfg, 1)[0]
-
-
 def test_matrix_ones_density_near_half():
-    mat = prng.generate_matrix(prng.DEFAULT_CONFIG, 256, 256)
+    mat = prng.generate_bits(prng.DEFAULT_CONFIG, 65536).reshape(256, 256)
     # independent popcount: pack to a big integer and count set bits there
     packed = int.from_bytes(np.packbits(mat.ravel()).tobytes(), "big")
     ones = bin(packed).count("1")
@@ -239,12 +218,11 @@ def test_short_buffer_is_not_a_padded_message():
 
 def test_config_file_roundtrip(tmp_path):
     path = tmp_path / "gen.ini"
-    prng.save_generator_config(prng.DEFAULT_CONFIG, path)
-    assert prng.load_generator_config(path) == prng.DEFAULT_CONFIG
-    text = path.read_text()
-    assert "[prng]" in text
-    for key in ("seed", "m", "i_num", "i_den", "n"):
-        assert key in text
+    cfg = prng.DEFAULT_CONFIG
+    path.write_text("[prng]\n" + "".join(
+        f"{key} = {getattr(cfg, key)}\n"
+        for key in ("seed", "m", "i_num", "i_den", "n")))
+    assert prng.load_generator_config(path) == cfg
 
 
 def test_config_file_defaults_for_optional_keys(tmp_path):
@@ -259,5 +237,16 @@ def test_config_file_defaults_for_optional_keys(tmp_path):
 def test_config_file_without_section_rejected(tmp_path):
     path = tmp_path / "gen.ini"
     path.write_text("[other]\nseed = 1\n")
+    with pytest.raises(ValidationError):
+        prng.load_generator_config(path)
+
+
+@pytest.mark.parametrize("text", [
+    "[prng]\nseed = 42\nm = x\ni_num = 11\n",
+    "seed = 42\n",
+], ids=["word-for-integer", "no-section-header"])
+def test_malformed_config_file_rejected(tmp_path, text):
+    path = tmp_path / "gen.ini"
+    path.write_text(text)
     with pytest.raises(ValidationError):
         prng.load_generator_config(path)

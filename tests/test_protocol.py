@@ -368,6 +368,14 @@ def test_replay_flags_wrong_expectation():
     assert outcomes[-1]["result"] == "grant"
 
 
+def test_replay_fails_a_step_that_lacks_a_field():
+    steps = SCRIPT[:4] + [{"cmd": "access", "user": "rena"}, SCRIPT[4]]
+    outcomes = protocol.replay_commands(protocol.Simulation(seed=11), steps)
+    assert not outcomes[4]["ok"]
+    assert "lacks field 'file'" in outcomes[4]["error"]
+    assert outcomes[5]["ok"]
+
+
 def test_run_script_emits_trace(tmp_path):
     script = tmp_path / "scenario.jsonl"
     script.write_text("".join(json.dumps(s) + "\n" for s in SCRIPT))

@@ -175,20 +175,20 @@ def test_probable_prime_on_known_values():
         assert not rsacrt.is_probable_prime(c)
 
 
+def _key_file_fields(path):
+    return {name: int(value) for name, _, value in
+            (line.partition(" = ") for line in path.read_text().splitlines())}
+
+
 def test_private_key_file_roundtrip(tmp_path):
     kp = rsacrt.keygen(512, seed=77)
     path = tmp_path / "rsa_private.txt"
     rsacrt.save_private(kp, path)
-    assert rsacrt.load_private(path) == kp
-    text = path.read_text()
-    for field in ("p", "q", "n", "e", "d", "d_p", "d_q", "q_inv", "p_inv"):
-        assert f"{field} = " in text
+    assert rsacrt.RsaKeyPair(**_key_file_fields(path)) == kp
 
 
 def test_public_key_file_roundtrip(tmp_path):
     kp = rsacrt.keygen(512, seed=78)
     path = tmp_path / "rsa_public.txt"
     rsacrt.save_public(kp.public, path)
-    assert rsacrt.load_public(path) == kp.public
-    text = path.read_text()
-    assert "d = " not in text
+    assert _key_file_fields(path) == {"n": kp.n, "e": kp.e}

@@ -1,9 +1,5 @@
 """Parabolic sharing: coefficients, points, binding codes, reconstruction."""
 
-import json
-import random
-from fractions import Fraction
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -130,41 +126,6 @@ def test_binding_codes_distinct_across_golden_points():
 # interpolation
 # ---------------------------------------------------------------------------
 
-def test_basis_is_one_at_own_node():
-    xs = [2, 4, 5]
-    for j in range(3):
-        assert ss.lagrange_basis(j, xs[j], xs, 7919) == 1
-
-
-def test_basis_is_zero_at_other_nodes():
-    xs = [2, 4, 5]
-    for j in range(3):
-        for m in range(3):
-            if m != j:
-                assert ss.lagrange_basis(j, xs[m], xs, 7919) == 0
-
-
-def test_basis_matches_rational_oracle():
-    # l_0(0) for nodes (2,4,5) is 20/6; embed the fraction in the field
-    frac = Fraction((0 - 4) * (0 - 5), (2 - 4) * (2 - 5))
-    expected = frac.numerator * pow(frac.denominator, -1, 7919) % 7919
-    assert ss.lagrange_basis(0, 0, [2, 4, 5], 7919) == expected
-
-
-def test_basis_duplicate_nodes_rejected():
-    with pytest.raises(ss.DuplicatePointError):
-        ss.lagrange_basis(0, 1, [2, 2, 5], 7919)
-
-
-def test_partition_of_unity():
-    rng = random.Random(555)
-    for _ in range(100):
-        xs = rng.sample(range(1, 5000), 3)
-        x = rng.randrange(7919)
-        total = sum(ss.lagrange_basis(j, x, xs, 7919) for j in range(3))
-        assert total % 7919 == 1
-
-
 def test_golden_reconstruction():
     pts = [ss.SharePoint(x=2, y=1942), ss.SharePoint(x=4, y=3402),
            ss.SharePoint(x=5, y=4414)]
@@ -231,28 +192,3 @@ def test_completeness_over_three_fields(p, data):
     rec_a0, rec = ss.reconstruct_secret(pts, p)
     assert rec_a0 == a0
     assert (rec.a0, rec.a1, rec.a2) == (a0, a1, a2)
-
-
-# ---------------------------------------------------------------------------
-# point files
-# ---------------------------------------------------------------------------
-
-def test_point_file_roundtrip(tmp_path):
-    path = tmp_path / "point.json"
-    pt = ss.SharePoint(x=5, y=4414, role="receiver")
-    kc = ss.binding_code(90210, pt, P).kc
-    ss.write_point_file(path, pt, P, kc, "file-1", 0)
-    back, rec = ss.read_point_file(path)
-    assert back == pt
-    assert rec == {"p": P, "x": 5, "y": 4414, "role": "receiver",
-                   "kc": kc, "file_id": "file-1", "epoch": 0}
-    # JSON on disk with exactly the documented fields
-    raw = json.loads(path.read_text())
-    assert set(raw) == {"p", "x", "y", "role", "kc", "file_id", "epoch"}
-
-
-def test_point_file_missing_field_rejected(tmp_path):
-    path = tmp_path / "point.json"
-    path.write_text(json.dumps({"p": P, "x": 1, "y": 2}))
-    with pytest.raises(ValidationError):
-        ss.read_point_file(path)
