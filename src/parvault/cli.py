@@ -166,10 +166,11 @@ def _load_vault(args):
                                       f"JSON: {exc}") from None
     if records:
         header = records[0]
-        if header.get("cmd") != "_config":
+        names = ("seed", "prime", "rsa_bits", "precision")
+        if not isinstance(header, dict) or header.get("cmd") != "_config" \
+                or any(type(header.get(k)) is not int for k in names):
             raise ValidationError(f"{path!r} lacks the _config header line")
-        params = {k: header[k] for k in
-                  ("seed", "prime", "rsa_bits", "precision")}
+        params = {k: header[k] for k in names}
         flags = _vault_params(args)
         for k, v in flags.items():
             if getattr(args, f"{k}_given", False) and v != params[k]:
@@ -292,7 +293,7 @@ def _cmd_simulate(args):
         status = "ok " if o["ok"] else "FAIL"
         extra = {k: v for k, v in o.items()
                  if k not in ("step", "cmd", "ok")}
-        print(f"  [{status}] step {o['step']:>2} {o['cmd']:<8} {extra}")
+        print(f"  [{status}] step {o['step']:>2} {o['cmd']!s:<8} {extra}")
     print(f"trace -> {trace_path}  digest {sim.bus.trace_hash():#018x}")
     if bad:
         print(f"error: {len(bad)} of {len(outcomes)} steps diverged",

@@ -16,11 +16,15 @@ an integer, which is how a wrong key or truncated element surfaces.
 Values are fixed-point decimals carrying `precision` fractional digits
 (default 50, floor 30). Roots are computed by Newton iteration in exact
 decimal arithmetic with guard digits, with an integer fast path so perfect
-powers (x = t**R) stay exact end to end. A stream is encrypted by XORing
-each byte with keystream material first, then applying f. There are only
-256 possible symbols, so each key has a 256-entry codebook (symbol ->
-element, cached per key) and both directions are table lookups: encrypt
-indexes the codebook, decrypt looks each element up in its inverse
+powers (x = t**R) stay exact end to end. A byte's root x**(1/R) does not
+depend on K, so the 256 byte roots are computed once per (power, work
+precision) and cached, a bounded table that every key with that power and
+work precision shares; a key then only adds K and raises to R. A stream
+is encrypted by XORing each byte with keystream material first, then
+applying f. There are only 256 possible symbols, so each key has a
+256-entry codebook (symbol -> element, cached per key, built through
+involute from the shared roots) and both directions are table lookups:
+encrypt indexes the codebook, decrypt looks each element up in its inverse
 (element -> symbol) and XORs the symbols with the keystream in numpy. Only
 an element missing from the inverse table, which a wrong key or a damaged
 blob produces, is inverted by the root-based anti_involute, so those still
@@ -166,6 +170,17 @@ def _work_prec(key, precision, extra_digits=0):
     return max(int_digits, extra_digits) + precision + _GUARD_DIGITS
 
 
+@lru_cache(maxsize=256)
+def _byte_roots(r, work_prec):
+    # x**(1/r) for every byte x at work_prec digits; no key enters it, so
+    # every key with this power and work precision shares the table. The
+    # cap bounds memory: a table is up to about 67 KB at F=50, and 400
+    # default 56-bit keys at F=50 reach 133 (power, work precision) pairs
+    with localcontext() as ctx:
+        ctx.prec = work_prec
+        return tuple(_root(Decimal(x), r, work_prec) for x in range(256))
+
+
 def involute(x, key, precision=DEFAULT_PRECISION):
     """f(x) = (pk_sk - x**(1/r_n))**r_n as a Decimal with `precision`
     fractional digits."""
@@ -174,7 +189,7 @@ def involute(x, key, precision=DEFAULT_PRECISION):
         raise ValidationError("symbol must be an integer in [0, 255]")
     with localcontext() as ctx:
         ctx.prec = _work_prec(key, precision)
-        root = _root(Decimal(x), key.r_n, ctx.prec)
+        root = _byte_roots(key.r_n, ctx.prec)[x]
         base = Decimal(key.pk_sk) - root
         if base < 0:
             raise DomainError("pk_sk below x**(1/r_n)")

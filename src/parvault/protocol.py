@@ -518,18 +518,19 @@ def replay_commands(sim, steps):
     recorded rather than raised; outcomes lists one record per step.
     """
     outcomes = []
-    for idx, step in enumerate(map(_Step, steps)):
-        cmd = step.get("cmd")
+    for idx, record in enumerate(steps):
+        cmd = record.get("cmd") if isinstance(record, dict) else None
         rec = {"step": idx, "cmd": cmd, "ok": True}
         try:
+            step = _Step(record)
             if cmd == "register":
                 sim.register(step["user_id"], step["credentials"],
                              step.get("type", "user"))
             elif cmd == "store":
-                data = bytes.fromhex(step["data_hex"]) if "data_hex" in step \
+                data = step.hex_bytes("data_hex") if "data_hex" in step \
                     else prng.generate_bytes(
                         sim._sub_config("scriptdata", step["file"], idx),
-                        int(step.get("size", 256)))
+                        step.get("size", 256))
                 fid, _ = sim.store_file(step["owner"], data, step["sharers"],
                                         file_name=step["file"])
                 rec["file_id"] = fid
@@ -565,11 +566,39 @@ def replay_commands(sim, steps):
     return outcomes
 
 
+# the JSON type of each command field; the list fields hold strings
+_FIELD_TYPES = {"cmd": str, "user_id": str, "credentials": list,
+                "type": str, "data_hex": str, "size": int, "owner": str,
+                "sharers": list, "file": str, "user": str,
+                "owner_approves": bool, "expect": str}
+_TYPE_NAMES = {str: "a string", int: "an integer", bool: "a boolean",
+               list: "a list of strings"}
+
+
 class _Step(dict):
-    # a command record whose missing field fails the step, not the replay
+    # a command record whose missing or mistyped field fails the step,
+    # not the replay
+    def __init__(self, record):
+        if not isinstance(record, dict):
+            raise ValidationError("command record is not a JSON object")
+        super().__init__(record)
+        for name, kind in _FIELD_TYPES.items():
+            value = self.get(name, kind())
+            if type(value) is not kind or (
+                    kind is list and any(type(v) is not str for v in value)):
+                raise ValidationError(f"{self.get('cmd')!r} step field "
+                                      f"{name!r} must be {_TYPE_NAMES[kind]}")
+
     def __missing__(self, name):
         raise ValidationError(f"{self.get('cmd')!r} step lacks field "
                               f"{name!r}")
+
+    def hex_bytes(self, name):
+        try:
+            return bytes.fromhex(self[name])
+        except ValueError:
+            raise ValidationError(f"{self.get('cmd')!r} step field {name!r} "
+                                  "is not hex") from None
 
 
 def run_script(script_path, trace_path=None, seed=2024, rsa_bits=512):

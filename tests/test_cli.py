@@ -143,12 +143,41 @@ def journal_line_not_json(tmp_path):
             "not JSON")
 
 
-def journal_record_without_a_field(tmp_path):
+def _vault_with_record(tmp_path, record):
     vault = _shared_vault(tmp_path)
     with (vault / "vault.jsonl").open("a") as fh:
-        fh.write(json.dumps({"cmd": "access", "user": "rena"}) + "\n")
-    return (["access", "doc.bin", "--out", vault, "--user", "rena"],
+        fh.write(json.dumps(record) + "\n")
+    return ["access", "doc.bin", "--out", vault, "--user", "rena"]
+
+
+def journal_record_without_a_field(tmp_path):
+    return (_vault_with_record(tmp_path, {"cmd": "access", "user": "rena"}),
             "lacks field 'file'")
+
+
+def journal_record_not_an_object(tmp_path):
+    return _vault_with_record(tmp_path, [1]), "not a JSON object"
+
+
+def journal_field_of_the_wrong_type(tmp_path):
+    record = {"cmd": "register", "user_id": "zed", "credentials": 5}
+    return (_vault_with_record(tmp_path, record),
+            "'credentials' must be a list of strings")
+
+
+def journal_header_not_an_object(tmp_path):
+    vault = _shared_vault(tmp_path)
+    journal = vault / "vault.jsonl"
+    lines = journal.read_text().splitlines(keepends=True)
+    journal.write_text("[1]\n" + "".join(lines[1:]))
+    return (["access", "doc.bin", "--out", vault, "--user", "rena"],
+            "lacks the _config header line")
+
+
+def journal_data_not_hex(tmp_path):
+    record = {"cmd": "store", "owner": "olive", "file": "h.bin",
+              "sharers": ["rena"], "data_hex": "zz"}
+    return _vault_with_record(tmp_path, record), "'data_hex' is not hex"
 
 
 def script_not_json(tmp_path):
@@ -173,7 +202,9 @@ def element_one_digit_extra(tmp_path):
 
 @pytest.mark.parametrize("case", [
     key_file_with_a_word, config_with_a_word, journal_line_not_json,
-    journal_record_without_a_field, script_not_json,
+    journal_record_without_a_field, journal_record_not_an_object,
+    journal_field_of_the_wrong_type, journal_data_not_hex,
+    journal_header_not_an_object, script_not_json,
     element_one_digit_short, element_one_digit_extra,
 ], ids=lambda case: case.__name__)
 def test_malformed_input_is_one_error_line(tmp_path, capsys, case):
@@ -348,6 +379,17 @@ def test_simulate_flags_divergence(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "FAIL" in captured.out
     assert "diverged" in captured.err
+
+
+def test_simulate_fails_misshapen_steps(tmp_path, capsys):
+    script = tmp_path / "s.jsonl"
+    _write_script(script, [[1], {"cmd": "register", "user_id": "o",
+                                 "credentials": 5}] + STEPS[1:2])
+    assert run("simulate", script, "--out", tmp_path) == 1
+    captured = capsys.readouterr()
+    assert "not a JSON object" in captured.out
+    assert "must be a list of strings" in captured.out
+    assert captured.err == "error: 2 of 3 steps diverged\n"
 
 
 # ---------------------------------------------------------------------------

@@ -192,6 +192,32 @@ def test_codebook_inverse_agrees_with_the_root_path(r_n, precision):
                 for el in book] == list(range(256))
 
 
+def _codebook_by_root(key, precision):
+    # reference: one Decimal root per symbol at the key's own work
+    # precision, no shared table
+    with localcontext() as ctx:
+        ctx.prec = fbsc._work_prec(key, precision)
+        return [str(((key.pk_sk - fbsc._root(Decimal(x), key.r_n, ctx.prec))
+                     ** key.r_n).quantize(fbsc._quantum(precision)))
+                for x in range(256)]
+
+
+def test_keys_sharing_a_root_table_keep_their_own_codebooks():
+    # a and b share (power, work precision); c shares only the power
+    a = fbsc.SymmetricKey(pk_sk=1048573, r_n=7)
+    b = fbsc.SymmetricKey(pk_sk=1048571, r_n=7)
+    c = fbsc.SymmetricKey(pk_sk=1099511627689, r_n=7)
+    assert fbsc._work_prec(a, 50) == fbsc._work_prec(b, 50) \
+        != fbsc._work_prec(c, 50)
+    for order in ((a, b, c), (c, b, a)):
+        fbsc._codebook.cache_clear()
+        fbsc._byte_roots.cache_clear()
+        for key in order:
+            assert list(map(str, fbsc._codebook(key, 50))) == \
+                _codebook_by_root(key, 50)
+    assert fbsc._byte_roots.cache_info().maxsize is not None
+
+
 def _reference_decrypt(elements, key, ks):
     # the per-element root path, with nearest-element fallback, folded
     book = [fbsc.involute(x, key) for x in range(256)]
