@@ -2,7 +2,8 @@
 
 f is its own inverse on the real line, so the same table encrypts and
 decrypts; the keystream XOR in front of it is what makes repeated bytes
-differ.
+differ. A wrong key's table does not hold these elements, so decryption
+under it is refused.
 """
 
 from parvault import fbsc, prng
@@ -32,7 +33,7 @@ plain = fbsc.decrypt_stream(elements, key, keystream)
 print(f"decrypted: {plain!r}")
 
 wrong = fbsc.SymmetricKey(pk_sk=17, r_n=2)
-garbled = fbsc.decrypt_stream(elements, wrong, keystream, strict=False)
-diff = sum(a != b for a, b in zip(garbled, message))
-print(f"wrong key (pk_sk=17): {diff}/{len(message)} bytes differ -> "
-      f"{garbled!r}")
+try:
+    fbsc.decrypt_stream(elements, wrong, keystream)
+except fbsc.RoundoffError as exc:
+    print(f"wrong key (pk_sk=17): refused, {exc}")

@@ -1,11 +1,10 @@
 """Policy layer: user registry, per-file ACL entries, revocation state.
 
-The registry holds UserRecord rows (id, type, credential strings) plus an
-inverted credential index so identical credential strings are stored once
-and map to every holder. Each file gets exactly one PolicyEntry (one key
-per file), carrying the authorized and revoked user sets, a fixed
-threshold of 3, a monotone epoch, and the needs_reencryption flag the
-protocol layer acts on after revocations.
+The registry holds UserRecord rows (id, type, credential strings), keyed
+by user id; two users may hold the same credential set. Each file gets
+exactly one PolicyEntry (one key per file), carrying the authorized and
+revoked user sets, a fixed threshold of 3, a monotone epoch, and the
+needs_reencryption flag the protocol layer acts on after revocations.
 
 The store lives in memory and keeps no history of its own: a world is
 rebuilt by replaying commands through the protocol layer (the CLI keeps
@@ -19,7 +18,6 @@ the audit helpers count leaf parameters in serialized state so tests can
 hold the bookkeeping to those formulas.
 """
 
-import warnings
 from dataclasses import dataclass, field
 
 from .errors import ParvaultError, ValidationError
@@ -92,7 +90,6 @@ class PolicyDb:
 
     def __init__(self):
         self.users = {}
-        self.credential_index = {}
         self.policies = {}
 
     # -- registry -----------------------------------------------------------
@@ -100,16 +97,7 @@ class PolicyDb:
     def register_user(self, record):
         if record.user_id in self.users:
             raise DuplicateUserError(f"user {record.user_id!r} already registered")
-        cred_set = frozenset(record.credentials)
-        for other in self.users.values():
-            if frozenset(other.credentials) == cred_set:
-                warnings.warn(f"credential set of {record.user_id!r} duplicates "
-                              f"{other.user_id!r}; index entries are shared",
-                              stacklevel=2)
-                break
         self.users[record.user_id] = record
-        for cred in record.credentials:
-            self.credential_index.setdefault(cred, set()).add(record.user_id)
         return record.user_id
 
     def get_user(self, user_id):

@@ -9,9 +9,9 @@ On the reals with K >= x**(1/R) the map is self-inverse:
 
     f(f(x)) = (K - (K - x**(1/R)))**R = x
 
-so the same function encrypts and decrypts; decryption rounds the real
-result back to the nearest byte and rejects anything farther than 0.25 from
-an integer, which is how a wrong key or truncated element surfaces.
+so the same function encrypts and decrypts. anti_involute computes that
+inverse through the root and rounds the real result back to the nearest
+byte, rejecting anything farther than 0.25 from an integer.
 
 Values are fixed-point decimals carrying `precision` fractional digits
 (default 50, floor 30). Roots are computed by Newton iteration in exact
@@ -25,10 +25,9 @@ applying f. There are only 256 possible symbols, so each key has a
 256-entry codebook (symbol -> element, cached per key, built through
 involute from the shared roots) and both directions are table lookups:
 encrypt indexes the codebook, decrypt looks each element up in its inverse
-(element -> symbol) and XORs the symbols with the keystream in numpy. Only
-an element missing from the inverse table, which a wrong key or a damaged
-blob produces, is inverted by the root-based anti_involute, so those still
-fail with RoundoffError (or, non-strictly, map to the nearest symbol).
+(element -> symbol) and XORs the symbols with the keystream in numpy. An
+element the inverse does not hold, which a wrong key or an altered blob
+produces, is refused with RoundoffError.
 
 `seal` and `unseal` are the storage path, so no caller handles the
 padding or the header fields: seal pads a payload (N1 || data || N2),
@@ -60,7 +59,8 @@ class DomainError(ParvaultError):
 
 
 class RoundoffError(ParvaultError):
-    """Decrypted value too far from any byte; wrong key or bad element."""
+    """Element that no byte maps to under the key: outside the key's
+    codebook, or (for anti_involute) farther than 0.25 from any byte."""
 
 
 class KeystreamError(ParvaultError):
@@ -198,7 +198,8 @@ def involute(x, key, precision=DEFAULT_PRECISION):
 
 
 def anti_involute(element, key, precision=DEFAULT_PRECISION):
-    """Invert f and round to the nearest byte.
+    """Invert f through the root and round to the nearest byte: the
+    mathematical inverse that decrypt_stream's codebook lookup agrees with.
 
     Raises RoundoffError when the real result strays more than 0.25 from
     every integer, the wrong-key signature.
@@ -245,46 +246,23 @@ def encrypt_stream(data, key, keystream, precision=DEFAULT_PRECISION):
     return [book[b ^ k] for b, k in zip(data, ks)]
 
 
-def decrypt_stream(elements, key, keystream, precision=DEFAULT_PRECISION,
-                   strict=True):
+def decrypt_stream(elements, key, keystream, precision=DEFAULT_PRECISION):
     """Invert encrypt_stream: data_i = f^{-1}(element_i) XOR keystream_i.
 
-    Each element is looked up in the inverse of the key's codebook; only an
-    element missing from it (a wrong key, a damaged blob) is inverted by
-    anti_involute. strict=True (the default) lets that RoundoffError
-    propagate, so a wrong key usually fails loudly; strict=False
-    substitutes the nearest byte value instead, which is what a
-    difference-rate comparison wants.
+    Each element is looked up in the inverse of the key's codebook. An
+    element the codebook does not hold (a wrong key, an altered blob)
+    raises RoundoffError naming its position.
     """
     ks = _check_keystream(keystream, len(elements))
     inverse = {el: x for x, el in enumerate(_codebook(key, precision))}
-    syms = [inverse[el] if el in inverse else
-            _symbol_by_root(el, inverse, key, precision, strict)
-            for el in elements]
-    data = np.frombuffer(bytes(syms), dtype=np.uint8)
+    try:
+        syms = bytes(map(inverse.__getitem__, elements))
+    except KeyError:
+        pos = next(i for i, el in enumerate(elements) if el not in inverse)
+        raise RoundoffError(f"element {pos} is not in the key's codebook") \
+            from None
+    data = np.frombuffer(syms, dtype=np.uint8)
     return (data ^ np.frombuffer(ks, dtype=np.uint8, count=len(syms))).tobytes()
-
-
-def _symbol_by_root(element, inverse, key, precision, strict):
-    # anti_involute's byte for an element not in the codebook, folded to
-    # 8 bits and remembered in `inverse` for the element's later copies
-    value = element if isinstance(element, Decimal) else Decimal(element)
-    sym = inverse.get(value)
-    if sym is None:
-        try:
-            sym = anti_involute(value, key, precision) & 0xFF
-        except (RoundoffError, DomainError):
-            if strict:
-                raise
-            sym = _nearest_symbol(value, key, precision)
-        inverse[value] = sym
-    return sym
-
-
-def _nearest_symbol(value, key, precision):
-    # lenient fallback: closest codebook element wins
-    book = _codebook(key, precision)
-    return min(range(256), key=lambda x: abs(book[x] - value))
 
 
 # ---------------------------------------------------------------------------

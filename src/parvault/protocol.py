@@ -186,12 +186,14 @@ class Simulation:
             # all-or-nothing: forget the policy, leave the cloud untouched
             self.policy_db.policies.pop(file_id, None)
             raise
+        self.cloud_acl_backup = self.policy_db.snapshot()
         return file_id, issued
 
     def _encrypt_and_share(self, file_id, plaintext, owner_id, sharer_ids,
                            key_epoch):
         """The shared crypto path of store and re-encrypt. Commits server
-        and cloud state only after every artifact is built."""
+        state and the blob only after every artifact is built; the caller
+        backs up the ACL once the policy is final."""
         key = self._fresh_symmetric_key(file_id, key_epoch)
         a0 = rsacrt.encode_payload_int(key.r_n, key.pk_sk)
         if a0 >= self.p:
@@ -235,7 +237,6 @@ class Simulation:
         self.bus.send("org_server", "cloud", "BlobPut", file_id=file_id,
                       size=len(raw_public), epoch=key_epoch)
         self.cloud_blobs[file_id] = raw_public
-        self.cloud_acl_backup = self.policy_db.snapshot()
         return assignment
 
     # -- access --------------------------------------------------------------
@@ -395,13 +396,7 @@ class Simulation:
         return out
 
     def epoch_tick(self, file_id):
-        """Logical policy refresh: bump the epoch and re-verify that every
-        authorized user still has a registered credential set."""
-        entry = self.policy_db.get_policy(file_id)
-        for uid in sorted(entry.authorized_user_ids):
-            rec = self.policy_db.users.get(uid)
-            if rec is None or not rec.credentials:
-                self.policy_db.revoke_user(entry.owner_id, file_id, uid)
+        """Logical policy refresh: bump the file's policy epoch."""
         return self.policy_db.advance_epoch(file_id)
 
     # -- adversarial scenarios ----------------------------------------------

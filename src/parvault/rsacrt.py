@@ -15,18 +15,15 @@ message padding happens here; the symmetric layer already frames plaintexts
 with random material before encryption.
 
 Primality is Miller-Rabin: the deterministic witness set below ~3.3e24,
-64 random rounds above. The environment hook PVLT_RSA_FORCE_PRIMES="p,q"
-pins keygen for reproducible test vectors.
+64 random rounds above. keygen's seed pins the prime search for
+reproducible runs, and make_keypair builds a keypair from known primes.
 """
 
 import math
-import os
 import random
 from dataclasses import dataclass
 
 from .errors import ParvaultError, ValidationError
-
-FORCE_PRIMES_ENV = "PVLT_RSA_FORCE_PRIMES"
 
 _E_CANDIDATES = (65537, 257, 17, 3)
 
@@ -142,19 +139,10 @@ def keygen(bit_length, seed=None):
     """Fresh keypair with an n of exactly bit_length bits.
 
     seed pins the prime search for reproducible runs; without it the system
-    entropy source drives the draw. PVLT_RSA_FORCE_PRIMES overrides both.
+    entropy source drives the draw.
     """
     if bit_length not in (64, 512, 1024, 2048):
         raise ValidationError("bit_length must be one of 64, 512, 1024, 2048")
-    forced = os.environ.get(FORCE_PRIMES_ENV)
-    if forced:
-        try:
-            p, q = (int(v) for v in forced.split(","))
-        except ValueError as exc:
-            raise ValidationError(f"bad {FORCE_PRIMES_ENV}: {forced!r}") from exc
-        if not (is_probable_prime(p) and is_probable_prime(q)):
-            raise ValidationError(f"{FORCE_PRIMES_ENV} values must be prime")
-        return make_keypair(p, q)
     rng = random.Random(seed) if seed is not None else random.SystemRandom()
     half = bit_length // 2
     p = _random_prime(half, rng)

@@ -31,17 +31,10 @@ def test_duplicate_id_rejected():
         db.register_user(acl.UserRecord("olive", "user", ["x"]))
 
 
-def test_shared_credential_indexes_both_users():
+def test_duplicate_credential_set_registers():
     db = fresh_db()
-    assert db.credential_index["org:lab"] == {"olive", "rena"}
-    assert db.credential_index["org:guest"] == {"sam"}
-
-
-def test_duplicate_credential_set_warns_but_registers():
-    db = fresh_db()
-    with pytest.warns(UserWarning):
-        db.register_user(acl.UserRecord("rena2", "user", ["org:lab"]))
-    assert db.credential_index["org:lab"] == {"olive", "rena", "rena2"}
+    db.register_user(acl.UserRecord("rena2", "user", ["org:lab"]))
+    assert db.get_user("rena2").credentials == db.get_user("rena").credentials
 
 
 def test_record_invariants():

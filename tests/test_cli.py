@@ -200,12 +200,22 @@ def element_one_digit_extra(tmp_path):
             "fractional digits")
 
 
+def element_last_digit_changed(tmp_path):
+    blob, key = _encrypted(tmp_path)
+    raw = blob.read_bytes()
+    digit = (raw[-2] - ord("0") + 1) % 10
+    blob.write_bytes(raw[:-2] + str(digit).encode() + b"\n")
+    return (["decrypt", blob, "--out", tmp_path, "--key", key],
+            "RoundoffError: element 267 is not in the key's codebook")
+
+
 @pytest.mark.parametrize("case", [
     key_file_with_a_word, config_with_a_word, journal_line_not_json,
     journal_record_without_a_field, journal_record_not_an_object,
     journal_field_of_the_wrong_type, journal_data_not_hex,
     journal_header_not_an_object, script_not_json,
     element_one_digit_short, element_one_digit_extra,
+    element_last_digit_changed,
 ], ids=lambda case: case.__name__)
 def test_malformed_input_is_one_error_line(tmp_path, capsys, case):
     argv, expected = case(tmp_path)
@@ -215,6 +225,7 @@ def test_malformed_input_is_one_error_line(tmp_path, capsys, case):
     assert captured.out == ""
     assert captured.err.count("\n") == 1
     assert expected in captured.err
+    assert not list(tmp_path.rglob("*.out"))
 
 
 # ---------------------------------------------------------------------------

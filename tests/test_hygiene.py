@@ -9,6 +9,10 @@ does. The scan counts any name or attribute use, and any string equal to
 the name (for `getattr` lookups and the benchmark's traced-name tables),
 outside the definition itself. Import lists such as the `statsuite`
 re-exports are not uses.
+
+No module reads or writes the process environment either: a switch that
+only an environment variable sets is an option no caller or test sees,
+and seeds and arguments already carry every setting.
 """
 
 import ast
@@ -36,6 +40,10 @@ PUBLIC_ALLOWLIST = {
                                           "server-ephemerality tests",
     "save_pgm": "the writer that pairs with load_pgm",
 }
+
+
+_ENVIRONMENT = {"environ", "environb", "getenv", "getenvb", "putenv",
+                "unsetenv"}
 
 
 def _private(name):
@@ -88,6 +96,33 @@ def _scan(files, wanted, use_files=()):
             if not any(where != path
                        or not node.lineno <= line <= node.end_lineno
                        for where, line in uses.get(node.name, ()))}
+
+
+def _environment_uses(path):
+    """Line numbers in `path` that touch the process environment through
+    the os module."""
+    lines = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if (isinstance(node, ast.Attribute) and node.attr in _ENVIRONMENT
+                and isinstance(node.value, ast.Name) and node.value.id == "os"):
+            lines.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and node.module == "os" and \
+                any(alias.name in _ENVIRONMENT for alias in node.names):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_no_module_uses_the_environment():
+    found = [f"{path.name}:{line}" for path in sorted(PACKAGE.rglob("*.py"))
+             for line in _environment_uses(path)]
+    assert not found, f"environment access in the package: {found}"
+
+
+def test_environment_scan_flags_attribute_and_import(tmp_path):
+    mod = tmp_path / "mod.py"
+    mod.write_text("import os\nfrom os import getenv, path\n"
+                   "seed = os.environ.get('SEED')\nhome = os.path.sep\n")
+    assert _environment_uses(mod) == [2, 3]
 
 
 def test_every_private_helper_is_referenced():

@@ -51,12 +51,6 @@ def test_keygen_deterministic_under_seed():
     assert rsacrt.keygen(512, seed=8).n != a.n
 
 
-def test_forced_primes_hook(monkeypatch):
-    monkeypatch.setenv(rsacrt.FORCE_PRIMES_ENV, "5,11")
-    kp = rsacrt.keygen(64)
-    assert (kp.p, kp.q) == (5, 11)
-
-
 def test_carmichael_identity_on_random_units():
     kp = rsacrt.keygen(512, seed=99)
     lam = math.lcm(kp.p - 1, kp.q - 1)
