@@ -4,15 +4,20 @@ Wires every module into subcommands: key generation, standalone
 encrypt/decrypt, the vault workflow (share, access, revoke) backed by a
 replayable journal, scripted simulation, the statistics runs, and the
 attribute-count benchmark. Everything is seed-deterministic: the same
-flags produce byte-identical artifacts.
+flags produce byte-identical artifacts. Each subcommand takes only the
+flags it reads.
 
 The vault model deserves a note. A journal (vault.jsonl in the output
 directory) records every command as one JSON line; each invocation
 rebuilds the whole deterministic world by replaying the journal, applies
-its own command, and appends it. State on disk is therefore the command
-history plus the cloud-visible artifacts (blobs). The output directory is
-not what the cloud would hold: each `share` record keeps the shared
-file's plaintext as `data_hex`, so the journal must stay with the owner.
+its own command, and appends it. The journal's first line pins the
+world's seed, prime, RSA size and precision. The first `share` writes it
+from its flags, and Simulation's defaults for any left out; a later
+`share` refuses a flag that differs from it, and `access` and `revoke`
+take none of these flags. State on disk is therefore the command history
+plus the cloud-visible artifacts (blobs). The output directory is not
+what the cloud would hold: each `share` record keeps the shared file's
+plaintext as `data_hex`, so the journal must stay with the owner.
 """
 
 import argparse
@@ -21,7 +26,7 @@ import os
 import sys
 import time
 
-from . import fbsc, prng, protocol, rsacrt, secretshare, statsuite
+from . import fbsc, prng, protocol, rsacrt, statsuite
 from .digests import digest64_ints, digest64_text
 from .errors import ParvaultError, ValidationError
 
@@ -35,14 +40,13 @@ def _diagnostic(exc):
 
 
 def _base_config(args):
-    if getattr(args, "config", None):
-        return prng.load_generator_config(args.config)
-    return None
+    return prng.load_generator_config(args.config) if args.config else None
 
 
-def _seeded_config(args, tag):
+def _seeded_key(args, tag):
     base = _base_config(args) or prng.DEFAULT_CONFIG
-    return base.reseeded(digest64_ints(args.seed, digest64_text(tag)))
+    cfg = base.reseeded(digest64_ints(args.seed, digest64_text(tag)))
+    return fbsc.generate_key(cfg, pk_bits=protocol.DEFAULT_PK_BITS)
 
 
 def _ensure_out(args):
@@ -62,20 +66,28 @@ def _write_keyfile(path, key, stream_seed):
         fh.write(f"stream_seed = {stream_seed}\n")
 
 
+def _read_text(path, what):
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"{what} {path!r} is not UTF-8 text: "
+                                  f"{exc}") from None
+
+
 def _read_keyfile(path):
     values = {}
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith(("#", "[")):
-                continue
-            name, _, value = line.partition("=")
-            try:
-                values[name.strip()] = int(value.strip())
-            except ValueError:
-                raise ValidationError(f"key file {path!r}: {name.strip()} = "
-                                      f"{value.strip()!r} is not an integer"
-                                      ) from None
+    for line in _read_text(path, "key file").splitlines():
+        line = line.strip()
+        if not line or line.startswith(("#", "[")):
+            continue
+        name, _, value = line.partition("=")
+        try:
+            values[name.strip()] = int(value.strip())
+        except ValueError:
+            raise ValidationError(f"key file {path!r}: {name.strip()} = "
+                                  f"{value.strip()!r} is not an integer"
+                                  ) from None
     for need in ("pk_sk", "r_n", "stream_seed"):
         if need not in values:
             raise ValidationError(f"key file {path!r} lacks {need}")
@@ -98,7 +110,7 @@ def _cmd_keygen(args):
     kp = rsacrt.keygen(args.rsa_bits, seed=args.seed)
     rsacrt.save_private(kp, os.path.join(out, "rsa_private.txt"))
     rsacrt.save_public(kp.public, os.path.join(out, "rsa_public.txt"))
-    key = fbsc.generate_key(_seeded_config(args, "keygen"), pk_bits=56)
+    key = _seeded_key(args, "keygen")
     stream_seed = digest64_ints(args.seed, digest64_text("stream"))
     _write_keyfile(os.path.join(out, "symmetric.key"), key, stream_seed)
     print(f"rsa_private.txt rsa_public.txt  ({args.rsa_bits}-bit, e={kp.e})")
@@ -114,7 +126,7 @@ def _cmd_encrypt(args):
     if args.key:
         key, stream_seed = _read_keyfile(args.key)
     else:
-        key = fbsc.generate_key(_seeded_config(args, "encrypt"), pk_bits=56)
+        key = _seeded_key(args, "encrypt")
         stream_seed = digest64_ints(args.seed, digest64_text("stream"))
         keypath = os.path.join(out, stem + ".key")
         _write_keyfile(keypath, key, stream_seed)
@@ -147,55 +159,55 @@ def _cmd_decrypt(args):
 
 _JOURNAL = "vault.jsonl"
 
+# the parameters a vault pins: journal header key, which is also the flag
+# name, -> the Simulation argument it sets
+_PINNED = {"seed": "seed", "prime": "p", "rsa_bits": "rsa_bits",
+           "precision": "precision"}
 
-def _vault_params(args):
-    return {"seed": args.seed, "prime": args.prime,
-            "rsa_bits": args.rsa_bits, "precision": args.precision}
 
+def _load_vault(out, **given):
+    """Replay the journal in `out` into a fresh world; returns (sim, records).
 
-def _load_vault(args):
-    """Replay the journal into a fresh world; returns (sim, records)."""
-    path = os.path.join(args.out, _JOURNAL)
+    `given` maps header keys to flag values, None where a flag was left
+    out. A new vault's world takes the given ones, and Simulation's
+    defaults for the rest; an existing vault refuses any that differs."""
+    path = os.path.join(out, _JOURNAL)
     records = []
     if os.path.exists(path):
-        with open(path) as fh:
-            try:
-                records = [json.loads(line) for line in fh if line.strip()]
-            except json.JSONDecodeError as exc:
-                raise ValidationError(f"{path!r} holds a line that is not "
-                                      f"JSON: {exc}") from None
+        try:
+            records = [json.loads(line) for line in
+                       _read_text(path, "journal").splitlines()
+                       if line.strip()]
+        except json.JSONDecodeError as exc:
+            raise ValidationError(f"{path!r} holds a line that is not "
+                                  f"JSON: {exc}") from None
+    given = {k: v for k, v in given.items() if v is not None}
     if records:
         header = records[0]
-        names = ("seed", "prime", "rsa_bits", "precision")
         if not isinstance(header, dict) or header.get("cmd") != "_config" \
-                or any(type(header.get(k)) is not int for k in names):
+                or any(type(header.get(k)) is not int for k in _PINNED):
             raise ValidationError(f"{path!r} lacks the _config header line")
-        params = {k: header[k] for k in names}
-        flags = _vault_params(args)
-        for k, v in flags.items():
-            if getattr(args, f"{k}_given", False) and v != params[k]:
+        for k, v in given.items():
+            if v != header[k]:
                 raise ValidationError(
                     f"--{k.replace('_', '-')} {v} conflicts with the "
-                    f"journal's {params[k]}; the vault pins its parameters")
-    else:
-        params = _vault_params(args)
-    sim = protocol.Simulation(seed=params["seed"], p=params["prime"],
-                              rsa_bits=params["rsa_bits"],
-                              precision=params["precision"])
+                    f"journal's {header[k]}; the vault pins its parameters")
+        given = {k: header[k] for k in _PINNED}
+    sim = protocol.Simulation(**{_PINNED[k]: v for k, v in given.items()})
     outcomes = protocol.replay_commands(sim, records[1:])
     bad = [o for o in outcomes if not o["ok"]]
     if bad:
         raise ValidationError(f"journal replay diverged at step {bad[0]}")
-    return sim, records, params
+    return sim, records
 
 
-def _append_vault(args, records, new_records, params):
-    path = os.path.join(args.out, _JOURNAL)
-    fresh = not records
-    with open(path, "a") as fh:
-        if fresh:
-            fh.write(json.dumps({"cmd": "_config", **params},
-                                sort_keys=True) + "\n")
+def _append_vault(args, sim, records, new_records):
+    """Append new_records to the journal, headed by the world's pinned
+    parameters when the vault is new."""
+    if not records:
+        header = {k: getattr(sim, attr) for k, attr in _PINNED.items()}
+        new_records = [{"cmd": "_config", **header}, *new_records]
+    with open(os.path.join(args.out, _JOURNAL), "a", encoding="utf-8") as fh:
         for rec in new_records:
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
 
@@ -209,7 +221,9 @@ def _write_cloud_blob(args, sim, file_id):
 
 def _cmd_share(args):
     _ensure_out(args)
-    sim, records, params = _load_vault(args)
+    sim, records = _load_vault(args.out, seed=args.seed, prime=args.prime,
+                               rsa_bits=args.rsa_bits,
+                               precision=args.precision)
     with open(args.file, "rb") as fh:
         data = fh.read()
     file_id = os.path.basename(args.file)
@@ -232,7 +246,7 @@ def _cmd_share(args):
                                      file_name=file_id)
     new.append({"cmd": "store", "owner": args.owner, "file": file_id,
                 "sharers": users, "data_hex": data.hex()})
-    _append_vault(args, records, new, params)
+    _append_vault(args, sim, records, new)
     blobpath = _write_cloud_blob(args, sim, fid)
     holders = ", ".join(f"{h}:x={x}" for h, x in sorted(assignment.items(),
                                                         key=lambda kv: kv[1]))
@@ -243,7 +257,7 @@ def _cmd_share(args):
 
 def _cmd_access(args):
     _ensure_out(args)
-    sim, records, params = _load_vault(args)
+    sim, records = _load_vault(args.out)
     approve = not args.deny_approval
     rec = {"cmd": "access", "user": args.user, "file": args.file,
            "owner_approves": approve}
@@ -252,10 +266,10 @@ def _cmd_access(args):
                                   owner_approves=approve)
     except protocol.DENIALS:
         rec["expect"] = "deny"
-        _append_vault(args, records, [rec], params)
+        _append_vault(args, sim, records, [rec])
         raise
     rec["expect"] = "grant"
-    _append_vault(args, records, [rec], params)
+    _append_vault(args, sim, records, [rec])
     outpath = os.path.join(args.out, args.file + ".plain")
     with open(outpath, "wb") as fh:
         fh.write(data)
@@ -265,15 +279,15 @@ def _cmd_access(args):
 
 def _cmd_revoke(args):
     _ensure_out(args)
-    sim, records, params = _load_vault(args)
+    sim, records = _load_vault(args.out)
     entry = sim.policy_db.get_policy(args.file)
     if args.user not in entry.authorized_user_ids:
         raise ValidationError(f"{args.user!r} is not a current sharer of "
                               f"{args.file!r}; nothing to revoke")
     issued = sim.revoke_and_reencrypt(entry.owner_id, args.file, args.user)
-    _append_vault(args, records,
+    _append_vault(args, sim, records,
                   [{"cmd": "revoke", "owner": entry.owner_id,
-                    "file": args.file, "user": args.user}], params)
+                    "file": args.file, "user": args.user}])
     blobpath = _write_cloud_blob(args, sim, args.file)
     epoch = sim.server_files[args.file]["key_epoch"]
     print(f"revoked {args.user}; re-encrypted {args.file} at key epoch "
@@ -341,7 +355,7 @@ def _cmd_analyze_corr(args):
         with open(args.encrypted, "rb") as fh:
             blob = fbsc.parse_blob(fh.read())
     else:
-        key = fbsc.generate_key(_seeded_config(args, "corr"), pk_bits=56)
+        key = _seeded_key(args, "corr")
         stream_seed = digest64_ints(args.seed, digest64_text("corr-stream"))
         blob = fbsc.seal(image.tobytes(), key, *_stream_configs(stream_seed),
                          args.precision)
@@ -456,7 +470,7 @@ def _cmd_bench(args):
     out = _ensure_out(args)
     counts = [int(c) for c in args.attrs.split(",") if c]
     rows = bench_attributes(counts, repetitions=args.reps, seed=args.seed,
-                            rsa_bits=args.rsa_bits_opt,
+                            rsa_bits=args.rsa_bits,
                             base_config=_base_config(args))
     for m, e, d in rows:
         print(f"  attrs={m:<3d} encrypt {e:8.3f} ms   decrypt {d:8.3f} ms")
@@ -473,19 +487,15 @@ def _cmd_bench(args):
 # parser
 # ---------------------------------------------------------------------------
 
-def _add_common(sub, out_default="parvault-out"):
-    sub.add_argument("--config", default=None,
-                     help="generator config file overriding the defaults")
-    sub.add_argument("--seed", type=int, default=2024)
-    sub.add_argument("--out", default=out_default,
+def _add_common(sub, seed=False, config=False):
+    """--out, and --seed and --config for the subcommands that read them."""
+    if config:
+        sub.add_argument("--config", default=None,
+                         help="generator config file overriding the defaults")
+    if seed:
+        sub.add_argument("--seed", type=int, default=2024)
+    sub.add_argument("--out", default="parvault-out",
                      help="output directory (created if missing)")
-
-
-class _TrackedPrime(argparse.Action):
-    # remembers that the flag was given so the vault can veto conflicts
-    def __call__(self, parser, namespace, values, option_string=None):
-        setattr(namespace, self.dest, values)
-        setattr(namespace, f"{self.dest}_given", True)
 
 
 def build_parser():
@@ -495,14 +505,14 @@ def build_parser():
     subs = parser.add_subparsers(dest="command", required=True)
 
     s = subs.add_parser("keygen", help="RSA keypair plus a symmetric key")
-    _add_common(s)
+    _add_common(s, seed=True, config=True)
     s.add_argument("--rsa-bits", type=int, default=512,
-                   choices=(64, 512, 1024, 2048))
+                   choices=rsacrt.KEY_SIZES)
     s.set_defaults(fn=_cmd_keygen)
 
     s = subs.add_parser("encrypt", help="encrypt one file to a blob")
     s.add_argument("file")
-    _add_common(s)
+    _add_common(s, seed=True, config=True)
     s.add_argument("--key", default=None,
                    help="existing key file; omitted -> fresh key is written")
     s.add_argument("--precision", type=int, default=fbsc.DEFAULT_PRECISION)
@@ -514,36 +524,39 @@ def build_parser():
     s.add_argument("--key", required=True)
     s.set_defaults(fn=_cmd_decrypt)
 
-    for name, fn, helptext in (
-            ("share", _cmd_share, "store a file into the vault world"),
-            ("access", _cmd_access, "request a shared file"),
-            ("revoke", _cmd_revoke, "revoke a user and re-encrypt")):
-        s = subs.add_parser(name, help=helptext)
-        s.add_argument("file")
-        _add_common(s)
-        s.add_argument("--prime", type=int,
-                       default=secretshare.DEFAULT_PRIME,
-                       action=_TrackedPrime)
-        s.add_argument("--rsa-bits", dest="rsa_bits", type=int, default=512,
-                       choices=(64, 512, 1024, 2048), action=_TrackedPrime)
-        s.add_argument("--precision", type=int,
-                       default=fbsc.DEFAULT_PRECISION, action=_TrackedPrime)
-        if name == "share":
-            s.add_argument("--owner", required=True)
-            s.add_argument("--users", required=True,
-                           help="comma-separated receiver ids")
-        else:
-            s.add_argument("--user", required=True)
-        if name == "access":
-            s.add_argument("--deny-approval", action="store_true",
-                           help="simulate the owner withholding approval")
-        s.set_defaults(fn=fn)
+    pinned = "pinned by the vault's first share"
+    s = subs.add_parser("share", help="store a file into the vault world")
+    s.add_argument("file")
+    _add_common(s)
+    s.add_argument("--seed", type=int, default=None, help=pinned)
+    s.add_argument("--prime", type=int, default=None, help=pinned)
+    s.add_argument("--rsa-bits", type=int, default=None,
+                   choices=rsacrt.KEY_SIZES, help=pinned)
+    s.add_argument("--precision", type=int, default=None, help=pinned)
+    s.add_argument("--owner", required=True)
+    s.add_argument("--users", required=True,
+                   help="comma-separated receiver ids")
+    s.set_defaults(fn=_cmd_share)
+
+    s = subs.add_parser("access", help="request a shared file")
+    s.add_argument("file")
+    _add_common(s)
+    s.add_argument("--user", required=True)
+    s.add_argument("--deny-approval", action="store_true",
+                   help="simulate the owner withholding approval")
+    s.set_defaults(fn=_cmd_access)
+
+    s = subs.add_parser("revoke", help="revoke a user and re-encrypt")
+    s.add_argument("file")
+    _add_common(s)
+    s.add_argument("--user", required=True)
+    s.set_defaults(fn=_cmd_revoke)
 
     s = subs.add_parser("simulate", help="replay a protocol script")
     s.add_argument("script")
-    _add_common(s)
-    s.add_argument("--rsa-bits", dest="rsa_bits", type=int, default=512,
-                   choices=(64, 512, 1024, 2048))
+    _add_common(s, seed=True)
+    s.add_argument("--rsa-bits", type=int, default=512,
+                   choices=rsacrt.KEY_SIZES)
     s.set_defaults(fn=_cmd_simulate)
 
     s = subs.add_parser("analyze", help="statistics on files and blobs")
@@ -555,7 +568,7 @@ def build_parser():
     a.set_defaults(fn=_cmd_analyze_nist)
     a = asubs.add_parser("corr", help="adjacent-pixel correlation")
     a.add_argument("input", help="PGM image")
-    _add_common(a)
+    _add_common(a, seed=True, config=True)
     a.add_argument("--encrypted", default=None,
                    help="blob of this image; omitted -> encrypted in-memory")
     a.add_argument("--precision", type=int, default=fbsc.DEFAULT_PRECISION)
@@ -566,12 +579,12 @@ def build_parser():
     a.set_defaults(fn=_cmd_analyze_hist)
 
     s = subs.add_parser("bench", help="cost versus attribute count")
-    _add_common(s)
+    _add_common(s, seed=True, config=True)
     s.add_argument("--attrs", default="2,4,8,16,32",
                    help="comma-separated attribute counts")
     s.add_argument("--reps", type=int, default=30)
-    s.add_argument("--rsa-bits", dest="rsa_bits_opt", type=int, default=None,
-                   choices=(64, 512, 1024, 2048))
+    s.add_argument("--rsa-bits", type=int, default=None,
+                   choices=rsacrt.KEY_SIZES)
     s.set_defaults(fn=_cmd_bench)
 
     return parser

@@ -241,9 +241,10 @@ class Simulation:
 
     # -- access --------------------------------------------------------------
 
-    def _verify_and_reconstruct(self, file_id, presented_tokens):
-        """Rebuild the secret from presented tokens and hold every token to
-        its binding code and the current key epoch."""
+    def server_reconstruct(self, file_id, presented_tokens):
+        """The reconstruction ceremony: rebuild the secret a0 from presented
+        tokens and hold every token to its binding code and the current key
+        epoch. Returns a0 alone."""
         state = self.server_files[file_id]
         pts = []
         for tok in presented_tokens:
@@ -254,9 +255,8 @@ class Simulation:
                     f"token epoch {tok['epoch']} stale; current key epoch "
                     f"is {state['key_epoch']}")
             pts.append(SharePoint(x=tok["x"], y=tok["y"], role=tok["role"]))
-        a0, poly = secretshare.reconstruct_secret(pts, self.p)
-        for tok in presented_tokens:
-            pt = SharePoint(x=tok["x"], y=tok["y"], role=tok["role"])
+        a0, _poly = secretshare.reconstruct_secret(pts, self.p)
+        for tok, pt in zip(presented_tokens, pts):
             if secretshare.binding_code(a0, pt, self.p).kc != tok["kc"]:
                 raise InconsistentPointError(
                     f"binding code mismatch for point x={tok['x']}")
@@ -264,12 +264,6 @@ class Simulation:
         org_pt = SharePoint(x=org["x"], y=org["y"], role=org["role"])
         if secretshare.binding_code(a0, org_pt, self.p).kc != state["binding_code"]:
             raise InconsistentPointError("file binding code mismatch")
-        return a0, poly
-
-    def server_reconstruct(self, file_id, presented_tokens):
-        """Public face of the reconstruction ceremony, for audits: returns
-        only the secret, after full token verification."""
-        a0, _ = self._verify_and_reconstruct(file_id, presented_tokens)
         return a0
 
     def _decrypt_blob(self, file_id, r_n, pk_sk):
@@ -311,13 +305,12 @@ class Simulation:
                 f"owner {entry.owner_id!r} withheld approval for {user_id!r}")
         state = self.server_files[file_id]
         owner_token = self.user_state[entry.owner_id]["points"][file_id]
-        a0, _poly = self._verify_and_reconstruct(
+        a0 = self.server_reconstruct(
             file_id, [state["org_token"], owner_token, token])
 
         # wrapped key to the requester; possession proven by digest echo
-        wrapped = rsacrt.WrappedKey(p_k=state["wrapped"][user_id])
         user_rsa = self.user_state[user_id]["rsa"]
-        payload = rsacrt.crt_recombine(wrapped.p_k, user_rsa)
+        payload = rsacrt.crt_recombine(state["wrapped"][user_id], user_rsa)
         if digest64_ints(payload) != digest64_ints(a0):
             raise InconsistentPointError(
                 "requester's unwrapped payload does not match the "
@@ -337,7 +330,7 @@ class Simulation:
         state = self.server_files[file_id]
         owner_token = self.user_state[entry.owner_id]["points"][file_id]
         helper_token = self.user_state[remaining[0]]["points"][file_id]
-        a0, _ = self._verify_and_reconstruct(
+        a0 = self.server_reconstruct(
             file_id, [state["org_token"], owner_token, helper_token])
         return rsacrt.decode_payload(a0)
 
@@ -353,10 +346,11 @@ class Simulation:
         return self._rekey(owner_id, file_id, user_id, admit=True)
 
     def _rekey(self, owner_id, file_id, user_id, admit):
-        """Recover the current secret without user_id's point, admit or
-        revoke user_id, and re-encrypt under a fresh secret and fresh points
-        at the next key epoch. Returns the new assignment, or the current
-        one when the ACL already says what was asked."""
+        """Recover the current secret without user_id's point, re-encrypt
+        under a fresh secret and fresh points at the next key epoch, then
+        admit or revoke user_id. Returns the new assignment, or the current
+        one when the ACL already says what was asked. A re-key that fails
+        leaves the ACL as it was."""
         entry = self.policy_db.get_policy(file_id)
         if owner_id != entry.owner_id:
             raise acl.NotOwnerError(f"{owner_id!r} does not own {file_id!r}")
@@ -365,19 +359,21 @@ class Simulation:
                                   "sharer; the owner always holds a point")
         if (user_id in entry.authorized_user_ids) == admit:
             return self._current_assignment(file_id)
+        self.policy_db.get_user(user_id)
+        # user_id is a sharer exactly when it is to be revoked
+        sharers = sorted(entry.authorized_user_ids ^ {user_id})
         r_n, pk_sk = self._old_key_via_ceremony(file_id, entry,
                                                 exclude=user_id)
         plaintext = self._decrypt_blob(file_id, r_n, pk_sk)
-        if admit:
-            self.policy_db.grant_user(owner_id, file_id, user_id)
-        else:
-            self.policy_db.revoke_user(owner_id, file_id, user_id)
         new_epoch = self.server_files[file_id]["key_epoch"] + 1
         # a revoked user keeps their now-stale point; it fails the epoch
         # and binding checks, which is the point of re-keying
         issued = self._encrypt_and_share(file_id, plaintext, owner_id,
-                                         sorted(entry.authorized_user_ids),
-                                         key_epoch=new_epoch)
+                                         sharers, key_epoch=new_epoch)
+        if admit:
+            self.policy_db.grant_user(owner_id, file_id, user_id)
+        else:
+            self.policy_db.revoke_user(owner_id, file_id, user_id)
         for holder in issued:
             if holder != "org_server":
                 self.bus.send("org_server", holder, "ReencryptNotice",
@@ -413,7 +409,7 @@ class Simulation:
         # T1: many copies of one party's point are still one point
         org = state["org_token"]
         try:
-            self._verify_and_reconstruct(file_id, [org] * 5)
+            self.server_reconstruct(file_id, [org] * 5)
             report["t1"] = {"denied": False, "detail": "reconstructed"}
         except DuplicatePointError as exc:
             report["t1"] = {"denied": True, "detail": str(exc)}
@@ -423,7 +419,7 @@ class Simulation:
         toks = [self.user_state[sharers[0]]["points"][file_id],
                 self.user_state[sharers[1]]["points"][file_id]]
         try:
-            self._verify_and_reconstruct(file_id, toks)
+            self.server_reconstruct(file_id, toks)
             report["t2"] = {"denied": False, "detail": "reconstructed"}
         except ThresholdError as exc:
             report["t2"] = {"denied": True, "detail": str(exc),
@@ -603,10 +599,10 @@ def run_script(script_path, trace_path=None, seed=2024, rsa_bits=512):
     gets one message per line plus a final state digest line.
     """
     sim = Simulation(seed=seed, rsa_bits=rsa_bits)
-    with open(script_path) as fh:
+    with open(script_path, encoding="utf-8") as fh:
         try:
             steps = [json.loads(line) for line in fh if line.strip()]
-        except json.JSONDecodeError as exc:
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ValidationError(f"{script_path!r} holds a line that is "
                                   f"not JSON: {exc}") from None
     outcomes = replay_commands(sim, steps)

@@ -27,6 +27,8 @@ from .errors import ParvaultError, ValidationError
 
 _E_CANDIDATES = (65537, 257, 17, 3)
 
+KEY_SIZES = (64, 512, 1024, 2048)  # the modulus sizes keygen accepts
+
 # below this bound the first 13 primes are a complete witness set
 _DETERMINISTIC_BOUND = 3_317_044_064_679_887_385_961_981
 _SMALL_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -141,8 +143,9 @@ def keygen(bit_length, seed=None):
     seed pins the prime search for reproducible runs; without it the system
     entropy source drives the draw.
     """
-    if bit_length not in (64, 512, 1024, 2048):
-        raise ValidationError("bit_length must be one of 64, 512, 1024, 2048")
+    if bit_length not in KEY_SIZES:
+        raise ValidationError("bit_length must be one of "
+                              + ", ".join(map(str, KEY_SIZES)))
     rng = random.Random(seed) if seed is not None else random.SystemRandom()
     half = bit_length // 2
     p = _random_prime(half, rng)

@@ -415,14 +415,20 @@ def universal_test(bits, block_len=None, init_blocks=None,
 # 11. approximate entropy
 # ---------------------------------------------------------------------------
 
-def _phi(bits, m_len):
+def _pattern_counts(bits, m_len):
+    """Count of each overlapping m_len-bit pattern, the sequence wrapped
+    around so that n bits give n patterns."""
     n = bits.size
     ext = np.concatenate((bits, bits[: m_len - 1])) if m_len > 1 else bits
     vals = np.zeros(n, dtype=np.int64)
     for j in range(m_len):
         vals = (vals << 1) | ext[j:j + n]
-    counts = np.bincount(vals, minlength=1 << m_len).astype(float)
-    probs = counts[counts > 0] / n
+    return np.bincount(vals, minlength=1 << m_len).astype(float)
+
+
+def _phi(bits, m_len):
+    counts = _pattern_counts(bits, m_len)
+    probs = counts[counts > 0] / bits.size
     return float(np.sum(probs * np.log(probs)))
 
 
@@ -581,11 +587,7 @@ def _psi_squared(bits, m_len):
     if m_len == 0:
         return 0.0
     n = bits.size
-    ext = np.concatenate((bits, bits[: m_len - 1])) if m_len > 1 else bits
-    vals = np.zeros(n, dtype=np.int64)
-    for j in range(m_len):
-        vals = (vals << 1) | ext[j:j + n]
-    counts = np.bincount(vals, minlength=1 << m_len).astype(float)
+    counts = _pattern_counts(bits, m_len)
     return float(2.0 ** m_len / n * np.sum(counts ** 2) - n)
 
 

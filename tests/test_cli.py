@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import parvault
-from parvault import fbsc, statsuite
+from parvault import fbsc, secretshare, statsuite
 from parvault.cli import linear_fit, main
 
 SECRET = b"the commissioning report, not for the cloud\n" + bytes(range(200))
@@ -186,6 +186,30 @@ def script_not_json(tmp_path):
     return ["simulate", script, "--out", tmp_path], "not JSON"
 
 
+NOT_UTF8 = b"\xff\xfe not text\n"
+
+
+def key_file_not_utf8(tmp_path):
+    blob, key = _encrypted(tmp_path)
+    key.write_bytes(key.read_bytes() + NOT_UTF8)
+    return (["decrypt", blob, "--out", tmp_path, "--key", key],
+            "is not UTF-8 text")
+
+
+def script_not_utf8(tmp_path):
+    script = tmp_path / "s.jsonl"
+    script.write_bytes(NOT_UTF8)
+    return ["simulate", script, "--out", tmp_path], "codec can't decode"
+
+
+def journal_not_utf8(tmp_path):
+    vault = _shared_vault(tmp_path)
+    with (vault / "vault.jsonl").open("ab") as fh:
+        fh.write(NOT_UTF8)
+    return (["access", "doc.bin", "--out", vault, "--user", "rena"],
+            "is not UTF-8 text")
+
+
 def element_one_digit_short(tmp_path):
     blob, key = _encrypted(tmp_path)
     blob.write_bytes(blob.read_bytes()[:-2] + b"\n")
@@ -213,7 +237,8 @@ def element_last_digit_changed(tmp_path):
     key_file_with_a_word, config_with_a_word, journal_line_not_json,
     journal_record_without_a_field, journal_record_not_an_object,
     journal_field_of_the_wrong_type, journal_data_not_hex,
-    journal_header_not_an_object, script_not_json,
+    journal_header_not_an_object, script_not_json, key_file_not_utf8,
+    script_not_utf8, journal_not_utf8,
     element_one_digit_short, element_one_digit_extra,
     element_last_digit_changed,
 ], ids=lambda case: case.__name__)
@@ -282,10 +307,38 @@ def test_vault_rejects_conflicting_parameters(tmp_path, capsys):
     vault = tmp_path / "vault"
     assert run("share", doc, "--out", vault, "--owner", "o",
                "--users", "u") == 0
-    capsys.readouterr()
-    assert run("access", "doc.bin", "--out", vault, "--user", "u",
-               "--prime", 101) == 1
-    assert "pins its parameters" in capsys.readouterr().err
+    journal = (vault / "vault.jsonl").read_bytes()
+    second = tmp_path / "second.bin"
+    second.write_bytes(b"a second file")
+    for flag, value, pinned in (("--prime", 101, secretshare.DEFAULT_PRIME),
+                                ("--seed", 99, 2024)):
+        capsys.readouterr()
+        assert run("share", second, "--out", vault, "--owner", "o",
+                   "--users", "u", flag, value) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert f"{flag} {value} conflicts with the journal's {pinned}; " \
+               "the vault pins its parameters" in captured.err
+        assert (vault / "vault.jsonl").read_bytes() == journal
+        assert not (vault / "second.bin.blob").exists()
+
+
+def test_vault_share_takes_a_matching_or_omitted_parameter(tmp_path):
+    doc = tmp_path / "doc.bin"
+    doc.write_bytes(b"pinned world")
+    vault = tmp_path / "vault"
+    assert run("share", doc, "--out", vault, "--owner", "o", "--users", "u",
+               "--seed", 7, "--precision", 40) == 0
+    header = json.loads((vault / "vault.jsonl").read_text().splitlines()[0])
+    assert (header["seed"], header["precision"]) == (7, 40)
+    assert header["prime"] == secretshare.DEFAULT_PRIME
+    second = tmp_path / "second.bin"
+    second.write_bytes(b"a second file")
+    assert run("share", second, "--out", vault, "--owner", "o",
+               "--users", "u", "--seed", 7) == 0
+    assert run("access", "second.bin", "--out", vault, "--user", "u") == 0
+    assert (vault / "second.bin.plain").read_bytes() == b"a second file"
 
 
 def test_vault_refuses_a_second_file_under_one_name(tmp_path, capsys):
@@ -519,6 +572,8 @@ def test_linear_fit_flat_and_noisy():
     ["decrypt", "x.blob"],          # --key is required
     ["keygen", "--rsa-bits", "100"],
     ["analyze"],
+    ["access", "f", "--user", "u", "--prime", "101"],  # pinned by share
+    ["decrypt", "x.blob", "--key", "k", "--seed", "1"],  # nothing to seed
 ])
 def test_usage_errors_exit_two(argv, capsys):
     with pytest.raises(SystemExit) as exc:

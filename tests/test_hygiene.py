@@ -13,12 +13,18 @@ re-exports are not uses.
 No module reads or writes the process environment either: a switch that
 only an environment variable sets is an option no caller or test sees,
 and seeds and arguments already carry every setting.
+
+Every command-line flag is read: a flag whose value neither its
+subcommand's function nor a helper handed the parsed arguments reads is
+accepted and then ignored.
 """
 
+import argparse
 import ast
 from pathlib import Path
 
 import parvault
+from parvault import cli
 
 PACKAGE = Path(parvault.__file__).resolve().parent
 REPO = Path(__file__).resolve().parents[1]
@@ -160,3 +166,73 @@ def test_public_scan_ignores_self_reference_and_import_lists(tmp_path):
     user = tmp_path / "user.py"
     user.write_text("from mod import loop, size\n\ncalled()\n")
     assert set(_scan([mod], _public, [user])) == {"loop", "Box.size"}
+
+
+def _args_reads(tree, fn_name):
+    """Attribute names that the module function `fn_name` in `tree`, and
+    every module function it passes its first parameter to, read off that
+    parameter; `getattr(args, "name")` counts as a read."""
+    functions = {node.name: node for node in tree.body
+                 if isinstance(node, ast.FunctionDef)}
+    reads, seen, todo = set(), set(), [(fn_name, 0)]
+    while todo:
+        name, position = todo.pop()
+        if (name, position) in seen or name not in functions:
+            continue
+        seen.add((name, position))
+        param = functions[name].args.args[position].arg
+        for node in ast.walk(functions[name]):
+            if isinstance(node, ast.Attribute) and \
+                    isinstance(node.value, ast.Name) and \
+                    node.value.id == param:
+                reads.add(node.attr)
+            elif isinstance(node, ast.Call) and \
+                    isinstance(node.func, ast.Name):
+                names = [a.id if isinstance(a, ast.Name) else None
+                         for a in node.args]
+                if node.func.id == "getattr" and names[:1] == [param] and \
+                        len(node.args) > 1:
+                    reads.add(_named(node.args[1]))
+                todo += [(node.func.id, i) for i, a in enumerate(names)
+                         if a == param]
+    return reads
+
+
+def _unread_flags(parser, tree):
+    """"prog --flag" for each option of each (sub)parser whose dest the
+    parser's `fn` default, looked up by name in `tree`, never reads."""
+    unread, stack = [], [parser]
+    while stack:
+        sub = stack.pop()
+        fn = sub.get_default("fn")
+        reads = _args_reads(tree, fn.__name__) if fn else set()
+        for action in sub._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                stack.extend(action.choices.values())
+            elif fn and action.option_strings and \
+                    not isinstance(action, argparse._HelpAction) and \
+                    action.dest not in reads:
+                unread.append(f"{sub.prog} {action.option_strings[-1]}")
+    return sorted(unread)
+
+
+def test_every_cli_flag_is_read():
+    tree = ast.parse(Path(cli.__file__).read_text())
+    unread = _unread_flags(cli.build_parser(), tree)
+    assert not unread, f"flags that nothing reads: {unread}"
+
+
+def test_flag_scan_follows_helpers_and_getattr():
+    source = (
+        "def _cmd(args):\n    _out(args.seed, args)\n\n"
+        "def _out(seed, opts):\n    return getattr(opts, 'out')\n\n"
+        "def _lost(args):\n    return args.alpha\n")
+    namespace = {}
+    exec(source, namespace)
+    parser = argparse.ArgumentParser(prog="tool")
+    sub = parser.add_subparsers().add_parser("run")
+    for flag in ("--seed", "--out", "--alpha", "--config"):
+        sub.add_argument(flag)
+    sub.set_defaults(fn=namespace["_cmd"])
+    assert _unread_flags(parser, ast.parse(source)) == \
+        ["tool run --alpha", "tool run --config"]

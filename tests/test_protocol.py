@@ -233,6 +233,39 @@ def test_repeated_revoke_lists_only_current_holders():
     assert sim.cloud_blobs[fid] == blob_before
 
 
+def _prime_at_least(n):
+    while not rsacrt.is_probable_prime(n):
+        n += 1
+    return n
+
+
+def test_a_failed_rekey_leaves_the_acl_unchanged():
+    # under this prime the file's epoch-0 key fits and its epoch-1 key
+    # (r_n 9) does not, so every re-key of the file fails
+    sim = protocol.Simulation(seed=6, p=_prime_at_least(2**80 + 9 * 2**72),
+                              rsa_bits=512)
+    sim.register("o", ["org:member", "id:o"], "owner")
+    for uid in "abc":
+        sim.register(uid, [f"id:{uid}"])
+    sim.store_file("o", b"hello", ["a", "b"], file_name="f")
+    acl_before, blob_before = sim.policy_db.snapshot(), sim.cloud_blobs["f"]
+    for _ in range(2):  # a retry re-keys again rather than return early
+        with pytest.raises(rsacrt.PayloadTooLargeError):
+            sim.revoke_and_reencrypt("o", "f", "b")
+        assert sim.policy_db.snapshot() == acl_before
+        assert sim.cloud_acl_backup == acl_before
+        assert sim.server_files["f"]["key_epoch"] == 0
+        assert sim.cloud_blobs["f"] == blob_before
+    with pytest.raises(rsacrt.PayloadTooLargeError):
+        sim.re_grant("o", "f", "c")
+    assert sim.policy_db.snapshot() == acl_before
+    trace = sim.bus.trace_hash()
+    with pytest.raises(acl.UnknownUserError):
+        sim.re_grant("o", "f", "zed")
+    assert sim.bus.trace_hash() == trace
+    assert sim.request_access("b", "f") == b"hello"
+
+
 def test_owner_cannot_be_their_own_sharer():
     sim = world()
     with pytest.raises(ValidationError):
