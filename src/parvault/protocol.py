@@ -28,6 +28,7 @@ else; its serialized state is the surface the blindness byte-scan audits.
 """
 
 import json
+import random
 from dataclasses import dataclass
 
 from . import acl, fbsc, prng, rsacrt, secretshare
@@ -100,6 +101,10 @@ class Simulation:
     def __init__(self, seed=2024, p=secretshare.DEFAULT_PRIME, rsa_bits=512,
                  precision=fbsc.DEFAULT_PRECISION, pk_bits=DEFAULT_PK_BITS,
                  base_config=None, key_power=None):
+        # p comes from the user, so the check takes the worst-case 64
+        # rounds; the fixed-seed rng keeps it deterministic
+        if not rsacrt.is_probable_prime(p, rng=random.Random(p)):
+            raise ValidationError(f"field prime {p} is not prime")
         if base_config is None:
             base_config = prng.DEFAULT_CONFIG.reseeded(seed)
         self.base_config = base_config

@@ -15,8 +15,25 @@ message padding happens here; the symmetric layer already frames plaintexts
 with random material before encryption.
 
 Primality is Miller-Rabin: the deterministic witness set below ~3.3e24,
-64 random rounds above. keygen's seed pins the prime search for
+random witnesses above. keygen's seed pins the prime search for
 reproducible runs, and make_keypair builds a keypair from known primes.
+
+How many random rounds: for an arbitrary n, t rounds pass a composite with
+probability at most 4^-t, so is_probable_prime runs 64 by default. Keygen
+tests only candidates drawn uniformly at random, and for those the
+average-case bound of Damgard, Landrock and Pomerance ("Average case error
+estimates for the strong probable prime test", Math. Comp. 61, 1993),
+which also underlies the tables of FIPS 186-5 Appendix B, is far smaller:
+_KEYGEN_ROUNDS holds, per candidate size k, the least t whose bound on
+"composite although t rounds passed" for a random odd k-bit integer is at
+most 2^-128. Candidates have their top two bits set, so they are uniform
+over the upper half of that range: the composites passing there are a
+subset of those in the whole range, while the primes there are just under
+half, so the bound about doubles; each entry's bound is below 2^-129.
+
+Every candidate still draws its 64 witnesses from the rng before any is
+tried, and a gcd against the primes 101..1999 screens the candidate after
+the draws: only the rounds fall, so a seed yields the same primes.
 """
 
 import math
@@ -35,6 +52,19 @@ _SMALL_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
                  53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
+
+# product of the primes 101..1999: one gcd does the trial division the
+# loop over _SMALL_PRIMES leaves off (every odd composite below 2000 has a
+# factor up to 43)
+_SCREEN = math.prod(c for c in range(101, 2000, 2)
+                    if all(c % sp for sp in _SMALL_PRIMES))
+
+# random witnesses drawn per candidate, whatever the round count; tying
+# the rng stream to this keeps seeded keys stable
+_DRAWS = 64
+
+# Miller-Rabin rounds per keygen candidate size (see the module docstring)
+_KEYGEN_ROUNDS = {256: 27, 512: 12, 1024: 6}
 
 
 class PrimeGenerationError(ParvaultError):
@@ -77,16 +107,21 @@ def is_probable_prime(n, rounds=64, rng=None):
         witnesses = [a for a in _SMALL_WITNESSES if a < n - 1]
     else:
         rng = rng or random.Random()
-        witnesses = [rng.randrange(2, n - 1) for _ in range(rounds)]
+        witnesses = [rng.randrange(2, n - 1)
+                     for _ in range(max(rounds, _DRAWS))][:rounds]
+        if math.gcd(n, _SCREEN) != 1:
+            return False
     return all(_miller_rabin_round(n, a, d, r) for a in witnesses)
 
 
 def _random_prime(bits, rng, tries=20000):
     # top two bits set so a product of two such primes has full width
     top = (1 << (bits - 1)) | (1 << (bits - 2))
+    # 32-bit candidates fall below _DETERMINISTIC_BOUND and ignore rounds
+    rounds = _KEYGEN_ROUNDS.get(bits, _DRAWS)
     for _ in range(tries):
         cand = rng.getrandbits(bits) | top | 1
-        if is_probable_prime(cand, rng=rng):
+        if is_probable_prime(cand, rounds=rounds, rng=rng):
             return cand
     raise PrimeGenerationError(f"no {bits}-bit prime in {tries} draws")
 

@@ -324,6 +324,19 @@ def test_vault_rejects_conflicting_parameters(tmp_path, capsys):
         assert not (vault / "second.bin.blob").exists()
 
 
+def test_vault_refuses_a_composite_prime(tmp_path, capsys):
+    doc = tmp_path / "doc.bin"
+    doc.write_bytes(b"a field needs a prime")
+    vault = tmp_path / "vault"
+    assert run("share", doc, "--out", vault, "--owner", "o", "--users", "a",
+               "--prime", 2 ** 100) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert f"field prime {2 ** 100} is not prime" in captured.err
+    assert not (vault / "vault.jsonl").exists()
+
+
 def test_vault_share_takes_a_matching_or_omitted_parameter(tmp_path):
     doc = tmp_path / "doc.bin"
     doc.write_bytes(b"pinned world")

@@ -214,6 +214,84 @@ def test_probable_prime_on_known_values():
         assert not rsacrt.is_probable_prime(c)
 
 
+# Damgard-Landrock-Pomerance (Math. Comp. 61, 1993) bounds on the chance
+# that a uniformly random odd k-bit integer which passed t random
+# Miller-Rabin rounds is composite
+
+def _dlp_theorem2(k, t):
+    """Theorem 2, least over M, as FIPS 186-4 Appendix F.1 evaluates it."""
+    bounds = []
+    for big_m in range(3, math.isqrt(4 * (k - 1)) + 1):  # M <= 2 sqrt(k-1)
+        tail = sum(2.0 ** (m - j - (k - 1) / j - (m - 1) * t)
+                   for m in range(3, big_m + 1) for j in range(2, m + 1))
+        bounds.append(2.00743 * math.log(2) * k
+                      * (2.0 ** (-2 - big_m * t)
+                         + 2 * (math.pi ** 2 - 6) / 3 * tail))
+    return min(bounds)
+
+
+def _dlp_corollaries(k, t):
+    """The closed forms the paper derives from Theorem 2, for k >= 21."""
+    bounds = [math.inf]
+    if t == 1:
+        bounds.append(k ** 2 * 4 ** (2 - math.sqrt(k)))
+    if (t == 2 and k >= 88) or 3 <= t <= k / 9:
+        bounds.append(k ** 1.5 * 2 ** t * t ** -0.5
+                      * 4 ** (2 - math.sqrt(t * k)))
+    if k / 9 <= t <= k / 4:
+        bounds.append(7 / 20 * k * 2.0 ** (-5 * t)
+                      + 1 / 7 * k ** 3.75 * 2.0 ** (-k / 2 - 2 * t)
+                      + 12 * k * 2.0 ** (-k / 4 - 3 * t))
+    if t >= k / 4:
+        bounds.append(1 / 7 * k ** 3.75 * 2.0 ** (-k / 2 - 2 * t))
+    return min(bounds)
+
+
+def _least_rounds(bound, k, log2_err):
+    return next(t for t in range(1, 200) if bound(k, t) <= 2.0 ** -log2_err)
+
+
+def test_dlp_theorem2_reproduces_fips_round_counts():
+    # FIPS 186-4 Tables C.1 (q) and C.3 (p, q), Miller-Rabin only:
+    # (bits, -log2 error, rounds)
+    for k, err, rounds in ((160, 80, 19), (224, 112, 24), (256, 128, 27),
+                           (512, 100, 7), (1024, 112, 5), (1536, 128, 4)):
+        assert _least_rounds(_dlp_theorem2, k, err) == rounds
+
+
+def test_keygen_round_table_is_the_least_that_reaches_2_to_minus_128():
+    sizes = {bits // 2 for bits in rsacrt.KEY_SIZES
+             if 1 << (bits // 2) > rsacrt._DETERMINISTIC_BOUND}
+    assert set(rsacrt._KEYGEN_ROUNDS) == sizes
+    for k, t in rsacrt._KEYGEN_ROUNDS.items():
+        assert _least_rounds(_dlp_theorem2, k, 128) == t
+        # the corollaries are looser here (29 rounds at 256 bits), so no
+        # DLP bound allows fewer rounds than the table
+        assert _least_rounds(_dlp_corollaries, k, 128) >= t
+        # candidates with their top two bits set about double the bound;
+        # each entry leaves that bit of margin
+        assert _dlp_theorem2(k, t) <= 2.0 ** -129
+
+
+def test_keygen_round_count_rejects_a_carmichael_number():
+    # (6k+1)(12k+1)(18k+1) with all three factors prime is a Carmichael
+    # number: every base coprime to it passes the Fermat test
+    k = round((rsacrt._DETERMINISTIC_BOUND / 1296) ** (1 / 3))
+    while True:
+        factors = (6 * k + 1, 12 * k + 1, 18 * k + 1)
+        n = math.prod(factors)
+        if n > rsacrt._DETERMINISTIC_BOUND and all(
+                rsacrt.is_probable_prime(f) for f in factors):
+            break
+        k += 1
+    assert pow(2, n - 1, n) == 1
+    assert math.gcd(n, rsacrt._SCREEN) == 1  # Miller-Rabin, not the screen
+    for rounds in sorted(set(rsacrt._KEYGEN_ROUNDS.values())):
+        for seed in range(20):
+            assert not rsacrt.is_probable_prime(n, rounds,
+                                                rng=random.Random(seed))
+
+
 def _key_file_fields(path):
     return {name: int(value) for name, _, value in
             (line.partition(" = ") for line in path.read_text().splitlines())}
