@@ -91,7 +91,8 @@ def _miller_rabin_round(n, a, d, r):
 
 
 def is_probable_prime(n, rounds=64, rng=None):
-    """Miller-Rabin; deterministic below the small-witness bound."""
+    """Miller-Rabin; deterministic below the small-witness bound, above it
+    the first `rounds` of at least 64 witnesses drawn from rng."""
     if n < 2:
         return False
     for sp in _SMALL_PRIMES:
@@ -117,8 +118,9 @@ def is_probable_prime(n, rounds=64, rng=None):
 def _random_prime(bits, rng, tries=20000):
     # top two bits set so a product of two such primes has full width
     top = (1 << (bits - 1)) | (1 << (bits - 2))
-    # 32-bit candidates fall below _DETERMINISTIC_BOUND and ignore rounds
-    rounds = _KEYGEN_ROUNDS.get(bits, _DRAWS)
+    # 32-bit candidates fall below _DETERMINISTIC_BOUND, where rounds is
+    # unused
+    rounds = _KEYGEN_ROUNDS.get(bits, 64)
     for _ in range(tries):
         cand = rng.getrandbits(bits) | top | 1
         if is_probable_prime(cand, rounds=rounds, rng=rng):

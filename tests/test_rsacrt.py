@@ -63,30 +63,51 @@ def _user_seed(world_seed, user_id):
 # and of the default 512-bit vault world (seed 2024), and criterion 5's
 # 2048-bit key. A change to the prime search or its rng stream moves them.
 KEY_PINS = {
-    "512/1": (512, 1, "01728f3fdb3db4c995715563947fe54fbe93c9bf161712fa4d3daff928922298"),
-    "512/2": (512, 2, "a439f9c4b9ae1d68389752a9ca07e70b2be52cae40d74b2d33c1f2c08385423a"),
-    "512/3": (512, 3, "255d29b0c42a380e48a997b5a40557d6bb9ed8a27b28e2b796dacfe2331c32f2"),
-    "512/4": (512, 4, "6fbc10647530f9c1940deba3c28f9b8f83e2392bf614d071d07b07ad82d50268"),
-    "512/5": (512, 5, "1bf31ef885add420dccd5cb8fa3a34be17bfe7733cd10069c8eba849904f2c93"),
-    "512/6": (512, 6, "935787f55218da879ce209237490282be37cf27e15dc82f976d3516268da0036"),
-    "sharing/owner": (1024, _user_seed(4243, "owner"),
-                      "80ecd7a82250ada29c8f5b0ef93c0476e325b36d837c6a47887e64937694456e"),
-    "sharing/user-00": (1024, _user_seed(4243, "user-00"),
-                        "55e0e9b24f49fb2efa1e40c9739c271ecfd80929caa0a96d6623affd81ecd0fd"),
-    "sharing/user-01": (1024, _user_seed(4243, "user-01"),
-                        "999fc6d80dbb1212eee2666bd2c1419a9dcdcd9e353cf6b88507eecc2161ff18"),
-    "sharing/user-31": (1024, _user_seed(4243, "user-31"),
-                        "632ef6ee86bc13aced7d17d5feecf86dbac1be8b16bc42bd3f63761f59aaa203"),
-    "vault/olga": (512, _user_seed(2024, "olga"),
-                   "ed70603c1d3f7ef6c55a1c9ed627f46af8d9f15d19d2d2edecc70c4c3814e34c"),
-    "vault/rena": (512, _user_seed(2024, "rena"),
-                   "2c2de51839c7761c8d330026d52fb416cba26c8ed9d155e43d1e195d1eebd5b0"),
-    "vault/sam": (512, _user_seed(2024, "sam"),
-                  "c0279b846cafdd92ea82745a96a61877c5f6c8bcc36e7dfb269f24d0522d50a6"),
-    "vault/tom": (512, _user_seed(2024, "tom"),
-                  "5325aa54ba003a90dcde7b2542374a2c9596a79d896bc4d3bebbc35971ed1251"),
-    "criterion5/2048": (2048, 42,
-                        "3ec09228a27abe5bdf94043cddc046240dbdf2ebd94c3197fc1ae240933a5fd9"),
+    "512/1": (
+        512, 1,
+        "01728f3fdb3db4c995715563947fe54fbe93c9bf161712fa4d3daff928922298"),
+    "512/2": (
+        512, 2,
+        "a439f9c4b9ae1d68389752a9ca07e70b2be52cae40d74b2d33c1f2c08385423a"),
+    "512/3": (
+        512, 3,
+        "255d29b0c42a380e48a997b5a40557d6bb9ed8a27b28e2b796dacfe2331c32f2"),
+    "512/4": (
+        512, 4,
+        "6fbc10647530f9c1940deba3c28f9b8f83e2392bf614d071d07b07ad82d50268"),
+    "512/5": (
+        512, 5,
+        "1bf31ef885add420dccd5cb8fa3a34be17bfe7733cd10069c8eba849904f2c93"),
+    "512/6": (
+        512, 6,
+        "935787f55218da879ce209237490282be37cf27e15dc82f976d3516268da0036"),
+    "sharing/owner": (
+        1024, _user_seed(4243, "owner"),
+        "80ecd7a82250ada29c8f5b0ef93c0476e325b36d837c6a47887e64937694456e"),
+    "sharing/user-00": (
+        1024, _user_seed(4243, "user-00"),
+        "55e0e9b24f49fb2efa1e40c9739c271ecfd80929caa0a96d6623affd81ecd0fd"),
+    "sharing/user-01": (
+        1024, _user_seed(4243, "user-01"),
+        "999fc6d80dbb1212eee2666bd2c1419a9dcdcd9e353cf6b88507eecc2161ff18"),
+    "sharing/user-31": (
+        1024, _user_seed(4243, "user-31"),
+        "632ef6ee86bc13aced7d17d5feecf86dbac1be8b16bc42bd3f63761f59aaa203"),
+    "vault/olga": (
+        512, _user_seed(2024, "olga"),
+        "ed70603c1d3f7ef6c55a1c9ed627f46af8d9f15d19d2d2edecc70c4c3814e34c"),
+    "vault/rena": (
+        512, _user_seed(2024, "rena"),
+        "2c2de51839c7761c8d330026d52fb416cba26c8ed9d155e43d1e195d1eebd5b0"),
+    "vault/sam": (
+        512, _user_seed(2024, "sam"),
+        "c0279b846cafdd92ea82745a96a61877c5f6c8bcc36e7dfb269f24d0522d50a6"),
+    "vault/tom": (
+        512, _user_seed(2024, "tom"),
+        "5325aa54ba003a90dcde7b2542374a2c9596a79d896bc4d3bebbc35971ed1251"),
+    "criterion5/2048": (
+        2048, 42,
+        "3ec09228a27abe5bdf94043cddc046240dbdf2ebd94c3197fc1ae240933a5fd9"),
 }
 
 
