@@ -33,7 +33,6 @@ report = sim.adversary_scenarios(fid)
 for name in ("t1", "t2", "t3"):
     print(f"  {name}: denied={report[name]['denied']}  "
           f"{report[name]['detail']}")
-print(f"  two-share posterior uniform: {report['t2']['posterior_uniform']}")
 
 print("\nolive revokes sam; the file re-encrypts under a fresh key")
 sim.revoke_and_reencrypt("olive", fid, "sam")

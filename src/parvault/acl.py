@@ -3,8 +3,9 @@
 The registry holds UserRecord rows (id, type, credential strings), keyed
 by user id; two users may hold the same credential set. Each file gets
 exactly one PolicyEntry (one key per file), carrying the authorized and
-revoked user sets, a fixed threshold of 3, a monotone epoch, and the
-needs_reencryption flag the protocol layer acts on after revocations.
+revoked user sets and a monotone epoch. The threshold is the constant
+THRESHOLD for every file; revocation and re-admission change only the
+sets and the epoch, and the protocol layer re-keys the file itself.
 
 The store lives in memory and keeps no history of its own: a world is
 rebuilt by replaying commands through the protocol layer (the CLI keeps
@@ -71,11 +72,8 @@ class PolicyEntry:
     file_id: str
     owner_id: str
     authorized_user_ids: set
-    threshold: int = THRESHOLD
     epoch: int = 0
-    priority: int = 0
     revoked_user_ids: set = field(default_factory=set)
-    needs_reencryption: bool = False
 
 
 @dataclass(frozen=True)
@@ -108,7 +106,7 @@ class PolicyDb:
 
     # -- policies -----------------------------------------------------------
 
-    def create_policy(self, owner_id, file_id, authorized, priority=0):
+    def create_policy(self, owner_id, file_id, authorized):
         owner = self.get_user(owner_id)
         if owner.user_type != "owner":
             raise NotOwnerError(f"{owner_id!r} is not an owner")
@@ -118,8 +116,7 @@ class PolicyDb:
         for uid in authorized:
             self.get_user(uid)
         entry = PolicyEntry(file_id=file_id, owner_id=owner_id,
-                            authorized_user_ids=set(authorized),
-                            priority=priority)
+                            authorized_user_ids=set(authorized))
         self.policies[file_id] = entry
         return entry
 
@@ -152,20 +149,17 @@ class PolicyDb:
             return entry
         entry.authorized_user_ids.discard(user_id)
         entry.revoked_user_ids.add(user_id)
-        entry.needs_reencryption = True
         entry.epoch += 1
         return entry
 
     def grant_user(self, owner_id, file_id, user_id):
-        """Re-admit a user (possibly previously revoked); epoch advances and
-        re-encryption is required before the grant is usable."""
+        """Re-admit a user (possibly previously revoked); epoch advances."""
         entry = self.get_policy(file_id)
         if owner_id != entry.owner_id:
             raise NotOwnerError(f"{owner_id!r} does not own {file_id!r}")
         self.get_user(user_id)
         entry.revoked_user_ids.discard(user_id)
         entry.authorized_user_ids.add(user_id)
-        entry.needs_reencryption = True
         entry.epoch += 1
         return entry
 
@@ -174,15 +168,12 @@ class PolicyDb:
         entry.epoch += 1
         return entry.epoch
 
-    def mark_reencrypted(self, file_id):
-        entry = self.get_policy(file_id)
-        entry.needs_reencryption = False
-        return entry
-
     # -- snapshots ----------------------------------------------------------
 
     def snapshot(self):
-        """JSON-serializable view of the whole store (for cloud backup)."""
+        """JSON-serializable view of the whole store: the cloud's ACL
+        backup. threshold, priority and needs_reencryption are constants,
+        written so the audited bytes keep their format."""
         return {
             "users": {uid: {"user_type": rec.user_type,
                             "credentials": list(rec.credentials)}
@@ -190,10 +181,10 @@ class PolicyDb:
             "policies": {fid: {"owner_id": e.owner_id,
                                "authorized": sorted(e.authorized_user_ids),
                                "revoked": sorted(e.revoked_user_ids),
-                               "threshold": e.threshold,
+                               "threshold": THRESHOLD,
                                "epoch": e.epoch,
-                               "priority": e.priority,
-                               "needs_reencryption": e.needs_reencryption}
+                               "priority": 0,
+                               "needs_reencryption": False}
                          for fid, e in sorted(self.policies.items())},
         }
 

@@ -79,6 +79,10 @@ class SymmetricKey:
             raise ValidationError(f"r_n must lie in [{R_MIN}, {R_MAX}]")
         if self.pk_sk < 2:
             raise ValidationError("pk_sk must be at least 2")
+        # generate_key's range; a wider base would make pk_sk**r_n too
+        # long to size the work precision by
+        if self.pk_sk >= 1 << 64:
+            raise ValidationError("pk_sk must be below 2**64")
         # base stays positive for every byte symbol up to 255
         if self.pk_sk ** self.r_n <= 255:
             raise ValidationError("pk_sk too small for byte symbols at this r_n")

@@ -9,8 +9,8 @@ identical traces. The flow for a stored file is:
   the symmetric secret (r_n, pk_sk) is framed as one integer, RSA-wrapped
   for each participant, and shared as the constant term of a parabolic
   polynomial -> points go one to the server, one to the owner, one to each
-  receiver -> the blob (power byte scrubbed) and an ACL backup go to the
-  cloud -> the server forgets every raw secret.
+  receiver -> the blob (power byte scrubbed) goes to the cloud -> the
+  server forgets every raw secret.
 
 An access then needs three parties: the requester's point, the server's
 point, and an explicit owner approval carrying the owner point. The server
@@ -23,8 +23,10 @@ state. Revocation re-keys: fresh cipher secret, fresh polynomial, fresh
 points at a bumped key epoch, so stale points fail binding verification
 even before the ACL says no.
 
-The cloud participant stores ciphertext blobs and an ACL backup and nothing
-else; its serialized state is the surface the blindness byte-scan audits.
+The cloud participant stores ciphertext blobs and a backup of the ACL and
+nothing else. That backup is the policy store's own serialization,
+policy_db.snapshot(), taken when the cloud state is serialized; that
+serialized state is the surface the blindness byte-scan audits.
 """
 
 import json
@@ -120,7 +122,6 @@ class Simulation:
         self.user_state = {}
         self.server_files = {}
         self.cloud_blobs = {}
-        self.cloud_acl_backup = {}
         self._file_counter = 0
 
     # -- derived deterministic streams --------------------------------------
@@ -191,14 +192,12 @@ class Simulation:
             # all-or-nothing: forget the policy, leave the cloud untouched
             self.policy_db.policies.pop(file_id, None)
             raise
-        self.cloud_acl_backup = self.policy_db.snapshot()
         return file_id, issued
 
     def _encrypt_and_share(self, file_id, plaintext, owner_id, sharer_ids,
                            key_epoch):
         """The shared crypto path of store and re-encrypt. Commits server
-        state and the blob only after every artifact is built; the caller
-        backs up the ACL once the policy is final."""
+        state and the blob only after every artifact is built."""
         key = self._fresh_symmetric_key(file_id, key_epoch)
         a0 = rsacrt.encode_payload_int(key.r_n, key.pk_sk)
         if a0 >= self.p:
@@ -215,7 +214,7 @@ class Simulation:
         holders = ["org_server", owner_id] + sharer_ids
         tokens = {}
         for holder, pt in zip(holders, points):
-            kc = secretshare.binding_code(a0, pt, self.p).kc
+            kc = secretshare.binding_code(a0, pt, self.p)
             tokens[holder] = secretshare.point_record(pt, self.p, kc,
                                                       file_id, key_epoch)
         wrapped = {}
@@ -262,14 +261,23 @@ class Simulation:
             pts.append(SharePoint(x=tok["x"], y=tok["y"], role=tok["role"]))
         a0, _poly = secretshare.reconstruct_secret(pts, self.p)
         for tok, pt in zip(presented_tokens, pts):
-            if secretshare.binding_code(a0, pt, self.p).kc != tok["kc"]:
+            if secretshare.binding_code(a0, pt, self.p) != tok["kc"]:
                 raise InconsistentPointError(
                     f"binding code mismatch for point x={tok['x']}")
         org = state["org_token"]
         org_pt = SharePoint(x=org["x"], y=org["y"], role=org["role"])
-        if secretshare.binding_code(a0, org_pt, self.p).kc != state["binding_code"]:
+        if secretshare.binding_code(a0, org_pt, self.p) != state["binding_code"]:
             raise InconsistentPointError("file binding code mismatch")
         return a0
+
+    def _ceremony(self, entry, holder_token):
+        """Rebuild the file's secret from the server's token, the owner's
+        token and one holder's token."""
+        fid = entry.file_id
+        return self.server_reconstruct(
+            fid, [self.server_files[fid]["org_token"],
+                  self.user_state[entry.owner_id]["points"][fid],
+                  holder_token])
 
     def _decrypt_blob(self, file_id, r_n, pk_sk):
         raw = self.cloud_blobs[file_id]
@@ -308,14 +316,12 @@ class Simulation:
         if not owner_approves:
             raise ApprovalWithheldError(
                 f"owner {entry.owner_id!r} withheld approval for {user_id!r}")
-        state = self.server_files[file_id]
-        owner_token = self.user_state[entry.owner_id]["points"][file_id]
-        a0 = self.server_reconstruct(
-            file_id, [state["org_token"], owner_token, token])
+        a0 = self._ceremony(entry, token)
 
         # wrapped key to the requester; possession proven by digest echo
         user_rsa = self.user_state[user_id]["rsa"]
-        payload = rsacrt.crt_recombine(state["wrapped"][user_id], user_rsa)
+        payload = rsacrt.crt_recombine(
+            self.server_files[file_id]["wrapped"][user_id], user_rsa)
         if digest64_ints(payload) != digest64_ints(a0):
             raise InconsistentPointError(
                 "requester's unwrapped payload does not match the "
@@ -324,20 +330,6 @@ class Simulation:
         return self._decrypt_blob(file_id, r_n, pk_sk)
 
     # -- revocation / re-keying ---------------------------------------------
-
-    def _old_key_via_ceremony(self, file_id, entry, exclude):
-        """Recover the current secret with org + owner + one remaining
-        sharer, never the excluded user's point."""
-        remaining = sorted(entry.authorized_user_ids - {exclude})
-        if not remaining:
-            raise ReencryptionError(
-                "re-keying needs one remaining authorized sharer")
-        state = self.server_files[file_id]
-        owner_token = self.user_state[entry.owner_id]["points"][file_id]
-        helper_token = self.user_state[remaining[0]]["points"][file_id]
-        a0 = self.server_reconstruct(
-            file_id, [state["org_token"], owner_token, helper_token])
-        return rsacrt.decode_payload(a0)
 
     def revoke_and_reencrypt(self, owner_id, file_id, user_id):
         """Revoke one user and re-key the file for everyone left. Runs the
@@ -367,8 +359,14 @@ class Simulation:
         self.policy_db.get_user(user_id)
         # user_id is a sharer exactly when it is to be revoked
         sharers = sorted(entry.authorized_user_ids ^ {user_id})
-        r_n, pk_sk = self._old_key_via_ceremony(file_id, entry,
-                                                exclude=user_id)
+        # the current secret comes from the server, the owner and one
+        # remaining sharer, never from user_id's point
+        remaining = sorted(entry.authorized_user_ids - {user_id})
+        if not remaining:
+            raise ReencryptionError(
+                "re-keying needs one remaining authorized sharer")
+        r_n, pk_sk = rsacrt.decode_payload(self._ceremony(
+            entry, self.user_state[remaining[0]]["points"][file_id]))
         plaintext = self._decrypt_blob(file_id, r_n, pk_sk)
         new_epoch = self.server_files[file_id]["key_epoch"] + 1
         # a revoked user keeps their now-stale point; it fails the epoch
@@ -383,8 +381,6 @@ class Simulation:
             if holder != "org_server":
                 self.bus.send("org_server", holder, "ReencryptNotice",
                               file_id=file_id, epoch=new_epoch)
-        self.policy_db.mark_reencrypted(file_id)
-        self.cloud_acl_backup = self.policy_db.snapshot()
         return issued
 
     def _current_assignment(self, file_id):
@@ -419,16 +415,14 @@ class Simulation:
         except DuplicatePointError as exc:
             report["t1"] = {"denied": True, "detail": str(exc)}
 
-        # T2: two receivers pool points; threshold blocks, and at p=101 a
-        # brute force shows the two points say nothing about the secret
+        # T2: two receivers pool points; the threshold blocks them
         toks = [self.user_state[sharers[0]]["points"][file_id],
                 self.user_state[sharers[1]]["points"][file_id]]
         try:
             self.server_reconstruct(file_id, toks)
             report["t2"] = {"denied": False, "detail": "reconstructed"}
         except ThresholdError as exc:
-            report["t2"] = {"denied": True, "detail": str(exc),
-                            "posterior_uniform": _toy_posterior_uniform()}
+            report["t2"] = {"denied": True, "detail": str(exc)}
 
         # T3: a leaked point presented by an unregistered identity dies at
         # the credential check, before any owner involvement
@@ -452,9 +446,10 @@ class Simulation:
     # -- audited surfaces ----------------------------------------------------
 
     def serialized_cloud_state(self):
-        """Every byte the cloud holds: blobs verbatim plus the ACL backup."""
+        """Every byte the cloud holds: blobs verbatim plus the ACL backup,
+        which is the policy store's snapshot as it stands."""
         parts = [self.cloud_blobs[fid] for fid in sorted(self.cloud_blobs)]
-        parts.append(json.dumps(self.cloud_acl_backup, sort_keys=True)
+        parts.append(json.dumps(self.policy_db.snapshot(), sort_keys=True)
                      .encode())
         return b"\x00".join(parts)
 
@@ -479,27 +474,6 @@ class Simulation:
             elements.append(("wrapped", uid))
         return {"ciphertext_elements": elements,
                 "binding_code": state["binding_code"]}
-
-
-def _toy_posterior_uniform(p=101, seed=7):
-    """At p=101: two shares of a random parabola admit exactly one
-    coefficient pair for every candidate secret, by full enumeration."""
-    import numpy as np
-
-    cfg = prng.DEFAULT_CONFIG.reseeded(seed)
-    a0, a1, raw = prng.generate_values(cfg, 3)
-    poly = secretshare.ParabolicPolicy(a0=a0 % p, a1=a1 % p,
-                                       a2=1 + raw % (p - 1), p=p)
-    pts = secretshare.generate_points(poly, 3)[:2]
-    c1 = np.arange(p).reshape(-1, 1)
-    c2 = np.arange(p).reshape(1, -1)
-    for s in range(p):
-        fits = np.ones((p, p), dtype=bool)
-        for q in pts:
-            fits &= (s + c1 * q.x + c2 * q.x * q.x) % p == q.y
-        if int(fits.sum()) != 1:
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,11 @@ sitting in a0 and the other two coefficients derived from the owner's
 attribute strings. Authorization points (X, F(X)) for X = 1..d_x go one to
 the organization server, one to the owner, and one to each receiver; any
 three distinct points rebuild the polynomial by Lagrange interpolation and
-hand back the secret as F(0). Two points pin down nothing: for every
-candidate secret there is exactly one parabola through them, which is the
-hiding argument the adversarial tests brute-force at p=101.
+hand back the secret as F(0). For a1 and a2 drawn uniformly at random, two
+points pin down nothing: for every candidate secret there is exactly one
+parabola through them (acceptance criterion 3 enumerates this at p=101).
+Here a1 and a2 are public digests of the owner's attributes, not random
+draws, so that argument does not cover this scheme's points.
 
 The point with X=0 is the secret itself and is never issued.
 """
@@ -79,13 +81,6 @@ class SharePoint:
             raise ValidationError(f"role must be one of {ROLES}")
 
 
-@dataclass(frozen=True)
-class BindingCode:
-    """Digest binding a share to a file under the holder's secret key."""
-
-    kc: int
-
-
 def derive_coefficients(owner_attributes, secret, p=DEFAULT_PRIME):
     """Build the policy polynomial from attribute strings and the secret.
 
@@ -129,7 +124,7 @@ def generate_points(policy, d_x):
 
 def binding_code(sec_key, point, p=DEFAULT_PRIME):
     """kc = digest(sec_key, x, y) mod p, the file binding code."""
-    return BindingCode(kc=digest64_ints(sec_key, point.x, point.y) % p)
+    return digest64_ints(sec_key, point.x, point.y) % p
 
 
 def reconstruct_secret(points, p=DEFAULT_PRIME):

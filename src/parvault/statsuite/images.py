@@ -99,6 +99,8 @@ def load_pgm(path):
         raise PgmFormatError("non-numeric PGM header field") from exc
     if not (0 < maxval <= 255):
         raise PgmFormatError(f"unsupported maxval {maxval}")
+    if w < 1 or h < 1:
+        raise PgmFormatError(f"PGM size {w}x{h} is not positive")
     body = raw[offset:offset + w * h]
     if len(body) != w * h:
         raise PgmFormatError(f"payload holds {len(body)} bytes, "

@@ -55,9 +55,11 @@ def test_record_invariants():
 def test_policy_has_fixed_threshold_and_epoch_zero():
     db = fresh_db()
     entry = db.create_policy("olive", "f1", {"rena", "sam"})
-    assert entry.threshold == acl.THRESHOLD == 3
     assert entry.epoch == 0
-    assert not entry.needs_reencryption
+    row = db.snapshot()["policies"]["f1"]
+    assert row["threshold"] == acl.THRESHOLD == 3
+    assert row["priority"] == 0
+    assert row["needs_reencryption"] is False
 
 
 def test_policy_with_unregistered_user_rejected():
@@ -119,13 +121,12 @@ def test_missing_policy_is_an_error():
 # revocation
 # ---------------------------------------------------------------------------
 
-def test_revocation_flags_reencryption_and_bumps_epoch():
+def test_revocation_moves_the_user_and_bumps_epoch():
     db = fresh_db()
     db.create_policy("olive", "f1", {"rena", "sam"})
     entry = db.revoke_user("olive", "f1", "rena")
     assert "rena" in entry.revoked_user_ids
     assert "rena" not in entry.authorized_user_ids
-    assert entry.needs_reencryption
     assert entry.epoch == 1
 
 
@@ -150,7 +151,6 @@ def test_revoking_a_stranger_is_a_noop():
     db.create_policy("olive", "f1", {"rena"})
     entry = db.revoke_user("olive", "f1", "sam")
     assert entry.epoch == 0
-    assert not entry.needs_reencryption
     assert "sam" not in entry.revoked_user_ids
 
 
@@ -168,16 +168,14 @@ def test_epoch_never_decreases_under_random_operations():
     rng = random.Random(99)
     last = 0
     for _ in range(300):
-        op = rng.choice(("revoke", "grant", "tick", "mark"))
+        op = rng.choice(("revoke", "grant", "tick"))
         uid = rng.choice(("rena", "sam"))
         if op == "revoke":
             db.revoke_user("olive", "f1", uid)
         elif op == "grant":
             db.grant_user("olive", "f1", uid)
-        elif op == "tick":
-            db.advance_epoch("f1")
         else:
-            db.mark_reencrypted("f1")
+            db.advance_epoch("f1")
         epoch = db.get_policy("f1").epoch
         assert epoch >= last
         last = epoch

@@ -233,6 +233,24 @@ def element_last_digit_changed(tmp_path):
             "RoundoffError: element 267 is not in the key's codebook")
 
 
+def key_file_with_a_wide_base(tmp_path):
+    # pk_sk**r_n has 8,001 digits, past the int-to-str conversion limit
+    plain = tmp_path / "m.bin"
+    plain.write_bytes(SECRET)
+    key = tmp_path / "wide.key"
+    key.write_text(f"pk_sk = {10 ** 4000}\nr_n = 2\nstream_seed = 1\n")
+    return (["encrypt", plain, "--out", tmp_path, "--key", key],
+            "pk_sk must be below 2**64")
+
+
+def pgm_of_negative_size(tmp_path):
+    # w*h = 4 matches the payload, so only the sign gives it away
+    image = tmp_path / "neg.pgm"
+    image.write_bytes(b"P5\n-2 -2\n255\n" + bytes(4))
+    return (["analyze", "hist", image, "--out", tmp_path],
+            "PGM size -2x-2 is not positive")
+
+
 @pytest.mark.parametrize("case", [
     key_file_with_a_word, config_with_a_word, journal_line_not_json,
     journal_record_without_a_field, journal_record_not_an_object,
@@ -240,7 +258,8 @@ def element_last_digit_changed(tmp_path):
     journal_header_not_an_object, script_not_json, key_file_not_utf8,
     script_not_utf8, journal_not_utf8,
     element_one_digit_short, element_one_digit_extra,
-    element_last_digit_changed,
+    element_last_digit_changed, key_file_with_a_wide_base,
+    pgm_of_negative_size,
 ], ids=lambda case: case.__name__)
 def test_malformed_input_is_one_error_line(tmp_path, capsys, case):
     argv, expected = case(tmp_path)

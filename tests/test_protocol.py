@@ -249,11 +249,12 @@ def test_a_failed_rekey_leaves_the_acl_unchanged():
         sim.register(uid, [f"id:{uid}"])
     sim.store_file("o", b"hello", ["a", "b"], file_name="f")
     acl_before, blob_before = sim.policy_db.snapshot(), sim.cloud_blobs["f"]
+    cloud_before = sim.serialized_cloud_state()
     for _ in range(2):  # a retry re-keys again rather than return early
         with pytest.raises(rsacrt.PayloadTooLargeError):
             sim.revoke_and_reencrypt("o", "f", "b")
         assert sim.policy_db.snapshot() == acl_before
-        assert sim.cloud_acl_backup == acl_before
+        assert sim.serialized_cloud_state() == cloud_before
         assert sim.server_files["f"]["key_epoch"] == 0
         assert sim.cloud_blobs["f"] == blob_before
     with pytest.raises(rsacrt.PayloadTooLargeError):
@@ -295,6 +296,18 @@ def test_epoch_tick_refreshes_policy():
     assert sim.request_access("rena", fid) == PAYLOAD
 
 
+def test_the_cloud_acl_backup_is_the_policy_store_as_it_stands():
+    # neither a registration nor an epoch tick stores or re-keys a file,
+    # and the cloud's ACL backup still shows both
+    sim, fid, _ = stored_world()
+    sim.register("tova", ["org:lab", "desk:4"])
+    sim.epoch_tick(fid)
+    acl_part = sim.serialized_cloud_state().rsplit(b"\x00", 1)[1]
+    assert acl_part == json.dumps(sim.policy_db.snapshot(),
+                                  sort_keys=True).encode()
+    assert b"tova" in acl_part
+
+
 # ---------------------------------------------------------------------------
 # adversary scenarios
 # ---------------------------------------------------------------------------
@@ -305,7 +318,6 @@ def test_three_attacks_all_denied():
     assert report["all_denied"]
     assert report["t1"]["denied"]
     assert report["t2"]["denied"]
-    assert report["t2"]["posterior_uniform"]
     assert report["t3"]["denied"]
     assert report["t3"]["denied_before_owner"]
 
@@ -323,10 +335,6 @@ def test_two_pooled_receiver_points_hit_threshold():
             sim.user_state["sam"]["points"][fid]]
     with pytest.raises(ThresholdError):
         sim.server_reconstruct(fid, toks)
-
-
-def test_toy_posterior_is_uniform():
-    assert protocol._toy_posterior_uniform()
 
 
 # ---------------------------------------------------------------------------

@@ -113,11 +113,11 @@ def test_binding_code_deterministic_and_in_range():
     a = ss.binding_code(90210, pt, P)
     b = ss.binding_code(90210, pt, P)
     assert a == b
-    assert 0 <= a.kc < P
+    assert 0 <= a < P
 
 
 def test_binding_codes_distinct_across_golden_points():
-    codes = [ss.binding_code(90210, ss.SharePoint(x=x, y=y), P).kc
+    codes = [ss.binding_code(90210, ss.SharePoint(x=x, y=y), P)
              for x, y in GOLDEN_POINTS]
     assert len(set(codes)) == len(codes)
 
