@@ -5,7 +5,7 @@ encrypt/decrypt, the vault workflow (share, access, revoke) backed by a
 replayable journal, scripted simulation, the statistics runs, and the
 attribute-count benchmark. Everything is seed-deterministic: the same
 flags produce byte-identical artifacts. Each subcommand takes only the
-flags it reads.
+flags it reads, and refuses a pair of flags of which it would ignore one.
 
 The vault model deserves a note. A journal (vault.jsonl in the output
 directory) records every command as one JSON line; each invocation
@@ -39,14 +39,14 @@ def _diagnostic(exc):
     return f"error: {mod}.{exc.__class__.__name__}: {exc}"
 
 
-def _base_config(args):
-    return prng.load_generator_config(args.config) if args.config else None
+def _derived(seed, tag):
+    """The generator reseeded from (seed, tag)."""
+    return prng.DEFAULT_CONFIG.reseeded(
+        digest64_ints(seed, digest64_text(tag)))
 
 
 def _seeded_key(args, tag):
-    base = _base_config(args) or prng.DEFAULT_CONFIG
-    cfg = base.reseeded(digest64_ints(args.seed, digest64_text(tag)))
-    return fbsc.generate_key(cfg, pk_bits=protocol.DEFAULT_PK_BITS)
+    return fbsc.generate_key(_derived(args.seed, tag))
 
 
 def _ensure_out(args):
@@ -96,9 +96,7 @@ def _read_keyfile(path):
 
 
 def _stream_configs(stream_seed):
-    mk = lambda tag: prng.DEFAULT_CONFIG.reseeded(  # noqa: E731
-        digest64_ints(stream_seed, digest64_text(tag)))
-    return mk("padding"), mk("keystream")
+    return _derived(stream_seed, "padding"), _derived(stream_seed, "keystream")
 
 
 # ---------------------------------------------------------------------------
@@ -392,15 +390,14 @@ def _cmd_analyze_hist(args):
 
 # -- benchmark ---------------------------------------------------------------
 
-def _trimmed_mean(vals, frac=0.2):
+def _trimmed_mean(vals):
     vs = sorted(vals)
-    k = int(len(vs) * frac)
+    k = len(vs) // 5  # a fifth off each end
     core = vs[k:len(vs) - k] or vs
     return sum(core) / len(core)
 
 
-def bench_attributes(counts, repetitions=30, seed=2024, rsa_bits=None,
-                     base_config=None):
+def bench_attributes(counts, repetitions=30, seed=2024, rsa_bits=None):
     """Store/access cost versus owner-attribute count.
 
     One world per count: the owner holds that many attribute credentials
@@ -426,7 +423,7 @@ def bench_attributes(counts, repetitions=30, seed=2024, rsa_bits=None,
         sim = protocol.Simulation(
             seed=digest64_ints(seed, m), rsa_bits=prof["rsa_bits"],
             pk_bits=prof["pk_bits"], precision=prof["precision"],
-            key_power=prof["key_power"], base_config=base_config)
+            key_power=prof["key_power"])
         sim.register("owner", [f"attr:{i}" for i in range(m)],
                      user_type="owner")
         users = [f"user-{i:03d}" for i in range(m)]
@@ -470,8 +467,7 @@ def _cmd_bench(args):
     out = _ensure_out(args)
     counts = [int(c) for c in args.attrs.split(",") if c]
     rows = bench_attributes(counts, repetitions=args.reps, seed=args.seed,
-                            rsa_bits=args.rsa_bits,
-                            base_config=_base_config(args))
+                            rsa_bits=args.rsa_bits)
     for m, e, d in rows:
         print(f"  attrs={m:<3d} encrypt {e:8.3f} ms   decrypt {d:8.3f} ms")
     a, b, r2 = linear_fit(rows)
@@ -487,13 +483,12 @@ def _cmd_bench(args):
 # parser
 # ---------------------------------------------------------------------------
 
-def _add_common(sub, seed=False, config=False):
-    """--out, and --seed and --config for the subcommands that read them."""
-    if config:
-        sub.add_argument("--config", default=None,
-                         help="generator config file overriding the defaults")
+def _add_common(sub, seed=False):
+    """--out, and --seed for the subcommands that read it. seed may be a
+    mutually exclusive group of sub instead of True; --seed joins it."""
     if seed:
-        sub.add_argument("--seed", type=int, default=2024)
+        (sub if seed is True else seed).add_argument("--seed", type=int,
+                                                     default=2024)
     sub.add_argument("--out", default="parvault-out",
                      help="output directory (created if missing)")
 
@@ -505,16 +500,18 @@ def build_parser():
     subs = parser.add_subparsers(dest="command", required=True)
 
     s = subs.add_parser("keygen", help="RSA keypair plus a symmetric key")
-    _add_common(s, seed=True, config=True)
+    _add_common(s, seed=True)
     s.add_argument("--rsa-bits", type=int, default=512,
                    choices=rsacrt.KEY_SIZES)
     s.set_defaults(fn=_cmd_keygen)
 
     s = subs.add_parser("encrypt", help="encrypt one file to a blob")
     s.add_argument("file")
-    _add_common(s, seed=True, config=True)
-    s.add_argument("--key", default=None,
-                   help="existing key file; omitted -> fresh key is written")
+    keyed = s.add_mutually_exclusive_group()
+    _add_common(s, seed=keyed)
+    keyed.add_argument("--key", default=None,
+                       help="existing key file; omitted -> a key drawn from "
+                       "--seed is written")
     s.add_argument("--precision", type=int, default=fbsc.DEFAULT_PRECISION)
     s.set_defaults(fn=_cmd_encrypt)
 
@@ -568,10 +565,13 @@ def build_parser():
     a.set_defaults(fn=_cmd_analyze_nist)
     a = asubs.add_parser("corr", help="adjacent-pixel correlation")
     a.add_argument("input", help="PGM image")
-    _add_common(a, seed=True, config=True)
-    a.add_argument("--encrypted", default=None,
-                   help="blob of this image; omitted -> encrypted in-memory")
-    a.add_argument("--precision", type=int, default=fbsc.DEFAULT_PRECISION)
+    _add_common(a, seed=True)
+    blob = a.add_mutually_exclusive_group()
+    blob.add_argument("--encrypted", default=None,
+                      help="blob of this image; omitted -> encrypted "
+                      "in-memory at --precision")
+    blob.add_argument("--precision", type=int,
+                      default=fbsc.DEFAULT_PRECISION)
     a.set_defaults(fn=_cmd_analyze_corr)
     a = asubs.add_parser("hist", help="byte histogram uniformity")
     a.add_argument("input")
@@ -579,7 +579,7 @@ def build_parser():
     a.set_defaults(fn=_cmd_analyze_hist)
 
     s = subs.add_parser("bench", help="cost versus attribute count")
-    _add_common(s, seed=True, config=True)
+    _add_common(s, seed=True)
     s.add_argument("--attrs", default="2,4,8,16,32",
                    help="comma-separated attribute counts")
     s.add_argument("--reps", type=int, default=30)

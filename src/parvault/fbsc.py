@@ -52,6 +52,8 @@ MIN_PRECISION = 30
 _GUARD_DIGITS = 25
 
 R_MIN, R_MAX = 2, 16
+# 17-digit pk_sk; wide enough that byte-scans mean something
+DEFAULT_PK_BITS = 56
 
 
 class DomainError(ParvaultError):
@@ -93,7 +95,7 @@ class SymmetricKey:
         return digest64_text(str(self.pk_sk)).to_bytes(8, "big")
 
 
-def generate_key(config, pk_bits=20, r_n=None):
+def generate_key(config, pk_bits=DEFAULT_PK_BITS, r_n=None):
     """Draw a fresh (pk_sk, r_n) from the generator stream.
 
     r_n is uniform-ish on [2, 16]; pk_sk lands in [17, 2**pk_bits) so the

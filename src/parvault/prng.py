@@ -19,7 +19,6 @@ clears the full statistical battery in statsuite; they are an artifact of this
 implementation, not magic numbers with external meaning.
 """
 
-import configparser
 import dataclasses
 from dataclasses import dataclass
 
@@ -40,7 +39,7 @@ class DegenerateStateError(ParvaultError):
 
 @dataclass(frozen=True)
 class GeneratorConfig:
-    """Parameters of the recurrence. Field names match the config-file keys."""
+    """Parameters of the recurrence."""
 
     seed: int
     m: int
@@ -167,30 +166,3 @@ def unpad_message(padded):
     if len(set(suffix)) != 1:
         raise PaddingError("suffix bytes are not a single repeated value")
     return bytes(padded[N1_LENGTH:-N2_REPEATS])
-
-
-# ---------------------------------------------------------------------------
-# config files
-# ---------------------------------------------------------------------------
-
-def load_generator_config(path):
-    """Read a [prng] section with integer keys seed, m, i_num, i_den, n."""
-    parser = configparser.ConfigParser()
-    try:
-        with open(path) as fh:
-            parser.read_file(fh)
-        if "prng" not in parser:
-            raise ValidationError("config file has no [prng] section")
-        sec = parser["prng"]
-        return GeneratorConfig(
-            seed=int(sec["seed"]),
-            m=int(sec["m"]),
-            i_num=int(sec["i_num"]),
-            i_den=int(sec.get("i_den", str(1 << 32))),
-            n=int(sec.get("n", str((1 << 61) - 1))),
-        )
-    except KeyError as exc:
-        raise ValidationError(f"config missing key {exc}") from exc
-    except (ValueError, configparser.Error) as exc:
-        first_line = str(exc).partition("\n")[0]
-        raise ValidationError(f"config file {path!r}: {first_line}") from None

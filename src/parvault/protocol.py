@@ -43,8 +43,6 @@ MESSAGE_KINDS = ("StoreRequest", "PolicyCreate", "PointIssue", "AccessRequest",
                  "OwnerApproval", "PointPresentation", "BlobPut", "BlobGet",
                  "ReencryptNotice")
 
-DEFAULT_PK_BITS = 56  # 17-digit pk_sk; wide enough that byte-scans mean something
-
 
 class AccessDeniedError(ParvaultError):
     """The ACL said no before any point handling."""
@@ -101,15 +99,13 @@ class Simulation:
     """One deterministic world: registry, participants, bus, cloud."""
 
     def __init__(self, seed=2024, p=secretshare.DEFAULT_PRIME, rsa_bits=512,
-                 precision=fbsc.DEFAULT_PRECISION, pk_bits=DEFAULT_PK_BITS,
-                 base_config=None, key_power=None):
+                 precision=fbsc.DEFAULT_PRECISION,
+                 pk_bits=fbsc.DEFAULT_PK_BITS, key_power=None):
         # p comes from the user, so the check takes the worst-case 64
         # rounds; the fixed-seed rng keeps it deterministic
         if not rsacrt.is_probable_prime(p, rng=random.Random(p)):
             raise ValidationError(f"field prime {p} is not prime")
-        if base_config is None:
-            base_config = prng.DEFAULT_CONFIG.reseeded(seed)
-        self.base_config = base_config
+        self.base_config = prng.DEFAULT_CONFIG.reseeded(seed)
         self.seed = seed
         self.p = p
         self.rsa_bits = rsa_bits

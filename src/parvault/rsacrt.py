@@ -66,6 +66,9 @@ _DRAWS = 64
 # Miller-Rabin rounds per keygen candidate size (see the module docstring)
 _KEYGEN_ROUNDS = {256: 27, 512: 12, 1024: 6}
 
+# candidates drawn per prime before keygen gives up
+_PRIME_TRIES = 20000
+
 
 class PrimeGenerationError(ParvaultError):
     """No prime found within the retry budget."""
@@ -115,17 +118,18 @@ def is_probable_prime(n, rounds=64, rng=None):
     return all(_miller_rabin_round(n, a, d, r) for a in witnesses)
 
 
-def _random_prime(bits, rng, tries=20000):
+def _random_prime(bits, rng):
     # top two bits set so a product of two such primes has full width
     top = (1 << (bits - 1)) | (1 << (bits - 2))
     # 32-bit candidates fall below _DETERMINISTIC_BOUND, where rounds is
     # unused
     rounds = _KEYGEN_ROUNDS.get(bits, 64)
-    for _ in range(tries):
+    for _ in range(_PRIME_TRIES):
         cand = rng.getrandbits(bits) | top | 1
         if is_probable_prime(cand, rounds=rounds, rng=rng):
             return cand
-    raise PrimeGenerationError(f"no {bits}-bit prime in {tries} draws")
+    raise PrimeGenerationError(
+        f"no {bits}-bit prime in {_PRIME_TRIES} draws")
 
 
 @dataclass(frozen=True)

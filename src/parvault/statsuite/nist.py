@@ -641,11 +641,11 @@ def nist_battery(bits, alpha=ALPHA_DEFAULT):
 
     results = []
 
-    def attempt(key, fn, name=None):
+    def attempt(key, fn):
         if n >= _FLOORS[key]:
             results.append(fn())
         else:
-            results.append(_skip(name or key,
+            results.append(_skip(key,
                                  f"needs {_FLOORS[key]} bits, got {n}"))
 
     attempt("frequency", lambda: frequency_test(bits, alpha))

@@ -126,15 +126,6 @@ def key_file_with_a_word(tmp_path):
             "'abc' is not an integer")
 
 
-def config_with_a_word(tmp_path):
-    config = tmp_path / "gen.ini"
-    config.write_text("[prng]\nseed = 42\nm = x\ni_num = 11\n")
-    plain = tmp_path / "m.bin"
-    plain.write_bytes(SECRET)
-    return (["encrypt", plain, "--out", tmp_path, "--config", config],
-            "invalid literal for int()")
-
-
 def journal_line_not_json(tmp_path):
     vault = _shared_vault(tmp_path)
     with (vault / "vault.jsonl").open("a") as fh:
@@ -252,7 +243,7 @@ def pgm_of_negative_size(tmp_path):
 
 
 @pytest.mark.parametrize("case", [
-    key_file_with_a_word, config_with_a_word, journal_line_not_json,
+    key_file_with_a_word, journal_line_not_json,
     journal_record_without_a_field, journal_record_not_an_object,
     journal_field_of_the_wrong_type, journal_data_not_hex,
     journal_header_not_an_object, script_not_json, key_file_not_utf8,
@@ -606,6 +597,16 @@ def test_linear_fit_flat_and_noisy():
     ["analyze"],
     ["access", "f", "--user", "u", "--prime", "101"],  # pinned by share
     ["decrypt", "x.blob", "--key", "k", "--seed", "1"],  # nothing to seed
+    # one of each pair would be ignored: the key file carries the seed and
+    # the blob its precision (values off the default, which argparse counts
+    # as given)
+    ["encrypt", "m.bin", "--key", "m.key", "--seed", "9"],
+    ["analyze", "corr", "i.pgm", "--encrypted", "i.blob", "--precision", "40"],
+    # there is one keystream generator and no file to configure it
+    ["keygen", "--config", "gen.ini"],
+    ["encrypt", "m.bin", "--config", "gen.ini"],
+    ["analyze", "corr", "i.pgm", "--config", "gen.ini"],
+    ["bench", "--config", "gen.ini"],
 ])
 def test_usage_errors_exit_two(argv, capsys):
     with pytest.raises(SystemExit) as exc:

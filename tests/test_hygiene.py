@@ -16,11 +16,14 @@ and seeds and arguments already carry every setting.
 
 Every command-line flag is read: a flag whose value neither its
 subcommand's function nor a helper handed the parsed arguments reads is
-accepted and then ignored.
+accepted and then ignored. The README's flag table lists for each
+subcommand the flags its parser defines, no more and no fewer.
 """
 
 import argparse
 import ast
+import itertools
+import re
 from pathlib import Path
 
 import parvault
@@ -236,3 +239,37 @@ def test_flag_scan_follows_helpers_and_getattr():
     sub.set_defaults(fn=namespace["_cmd"])
     assert _unread_flags(parser, ast.parse(source)) == \
         ["tool run --alpha", "tool run --config"]
+
+
+def _readme_flag_table():
+    """{subcommand words: flags} from the README's `| subcommand | flags |`
+    table; upper-case words such as FILE name positionals."""
+    lines = (REPO / "README.md").read_text().splitlines()
+    rows = lines[lines.index("| subcommand | flags |") + 2:]
+    table = {}
+    for row in itertools.takewhile(lambda ln: ln.startswith("|"), rows):
+        usage, flags = row.strip("|").split("|")
+        words = usage.strip(" `").split()
+        table[" ".join(w for w in words if w.islower())] = \
+            set(re.findall(r"`(--[a-z-]+)`", flags))
+    return table
+
+
+def _parser_flags(parser):
+    """The same map from the parser, for each subcommand that runs."""
+    table, stack = {}, [parser]
+    while stack:
+        sub = stack.pop()
+        for action in sub._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                stack.extend(action.choices.values())
+        if sub.get_default("fn"):
+            table[sub.prog.partition(" ")[2]] = {
+                opt for action in sub._actions
+                if not isinstance(action, argparse._HelpAction)
+                for opt in action.option_strings}
+    return table
+
+
+def test_readme_flag_table_matches_the_parser():
+    assert _readme_flag_table() == _parser_flags(cli.build_parser())

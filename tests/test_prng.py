@@ -210,43 +210,3 @@ def test_suffix_must_repeat_one_byte():
 def test_short_buffer_is_not_a_padded_message():
     with pytest.raises(prng.PaddingError):
         prng.unpad_message(b"x" * (prng.N1_LENGTH + prng.N2_REPEATS))
-
-
-# ---------------------------------------------------------------------------
-# config files
-# ---------------------------------------------------------------------------
-
-def test_config_file_roundtrip(tmp_path):
-    path = tmp_path / "gen.ini"
-    cfg = prng.DEFAULT_CONFIG
-    path.write_text("[prng]\n" + "".join(
-        f"{key} = {getattr(cfg, key)}\n"
-        for key in ("seed", "m", "i_num", "i_den", "n")))
-    assert prng.load_generator_config(path) == cfg
-
-
-def test_config_file_defaults_for_optional_keys(tmp_path):
-    path = tmp_path / "gen.ini"
-    path.write_text("[prng]\nseed = 42\nm = 97\ni_num = 11\n")
-    cfg = prng.load_generator_config(path)
-    assert (cfg.seed, cfg.m, cfg.i_num) == (42, 97, 11)
-    assert cfg.i_den == 1 << 32
-    assert cfg.n == (1 << 61) - 1
-
-
-def test_config_file_without_section_rejected(tmp_path):
-    path = tmp_path / "gen.ini"
-    path.write_text("[other]\nseed = 1\n")
-    with pytest.raises(ValidationError):
-        prng.load_generator_config(path)
-
-
-@pytest.mark.parametrize("text", [
-    "[prng]\nseed = 42\nm = x\ni_num = 11\n",
-    "seed = 42\n",
-], ids=["word-for-integer", "no-section-header"])
-def test_malformed_config_file_rejected(tmp_path, text):
-    path = tmp_path / "gen.ini"
-    path.write_text(text)
-    with pytest.raises(ValidationError):
-        prng.load_generator_config(path)
