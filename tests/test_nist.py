@@ -6,12 +6,16 @@ values (frozen from this implementation, cross-checked against the printed
 ones) guard against silent numeric drift.
 """
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from parvault import prng
 from parvault.errors import ValidationError
-from parvault.statsuite import nist
+from parvault.statsuite import battery_report_text, bits_from_bytes, nist
+
+GOLDEN = Path(__file__).parent / "golden"
 
 BATTERY_ORDER = [
     "frequency", "block_frequency", "cumulative_sums", "runs", "longest_run",
@@ -145,6 +149,21 @@ def test_e_excursions_minus_one_matches_document(e_battery):
         nist._EXCURSION_STATES.index(-1)]
     assert abs(p - 0.007779) < 1e-4
     assert not e_battery["by_name"]["random_excursions"].passed
+
+
+@pytest.mark.parametrize("source", ["pi", "e", "keystream"])
+def test_battery_report_matches_golden(source, request):
+    # the whole report, frozen before any kernel was batched: it holds every
+    # statistic the report prints (chi2, counts, deltas) at full repr, which
+    # the 1e-9 p-value tables above do not
+    if source == "keystream":
+        bits = bits_from_bytes(prng.generate_bytes(prng.DEFAULT_CONFIG,
+                                                   125_000))
+        results = nist.nist_battery(bits)
+    else:
+        results = request.getfixturevalue(f"{source}_battery")["results"]
+    golden = (GOLDEN / f"nist_report_{source}.txt").read_text()
+    assert battery_report_text(results) == golden
 
 
 def test_pi_battery_all_pass(pi_battery):
