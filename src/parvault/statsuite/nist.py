@@ -42,12 +42,16 @@ class TestResult:
 
 
 def _as_bits(bits):
-    arr = np.asarray(bits, dtype=np.uint8)
-    if arr.ndim != 1:
-        arr = arr.ravel()
-    if arr.size and arr.max() > 1:
+    """Bits as a flat uint8 0/1 array; bool and integer 0/1 input only."""
+    arr = np.asarray(bits).ravel()
+    if arr.dtype == np.bool_:
+        return arr.view(np.uint8)
+    if arr.dtype.kind not in "iu":
+        raise ValidationError(
+            f"bit array must be bool or integer, got dtype {arr.dtype}")
+    if arr.size and (arr.min() < 0 or arr.max() > 1):
         raise ValidationError("bit array must contain only 0 and 1")
-    return arr
+    return arr.astype(np.uint8, copy=False)
 
 
 def _result(name, p, alpha, **stats):
@@ -195,23 +199,36 @@ def longest_run_test(bits, alpha=ALPHA_DEFAULT):
 # 6. binary matrix rank
 # ---------------------------------------------------------------------------
 
-def _gf2_rank(rows):
-    """Rank over GF(2) of a matrix given as a list of row bitmasks."""
-    rank = 0
-    for col in range(32):
-        pivot = None
-        bit = 1 << col
-        for i in range(rank, len(rows)):
-            if rows[i] & bit:
-                pivot = i
-                break
-        if pivot is None:
+def _gf2_ranks(rows):
+    """GF(2) rank of every 32-column matrix at once.
+
+    rows is an (n_mat, n_rows) uint32 array, bit j of a row being column j.
+    Gauss-Jordan elimination runs column by column over all matrices
+    together: each matrix takes its first row at or below its current rank
+    that holds the bit as pivot, swaps it up and clears the bit from every
+    other row.
+    """
+    rows = rows.copy()
+    n_mat, n_rows = rows.shape
+    rank = np.zeros(n_mat, dtype=np.int64)
+    row_no = np.arange(n_rows)
+    for col in map(np.uint32, range(32)):
+        eligible = ((rows >> col) & 1).astype(bool) & (row_no >= rank[:, None])
+        mats = np.flatnonzero(eligible.any(axis=1))
+        if mats.size == 0:
             continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        for i in range(len(rows)):
-            if i != rank and rows[i] & bit:
-                rows[i] ^= rows[rank]
-        rank += 1
+        top = rank[mats]
+        pivot = eligible[mats].argmax(axis=1)
+        sub = rows[mats]
+        at = np.arange(mats.size)
+        pivot_row = sub[at, pivot]
+        sub[at, pivot] = sub[at, top]
+        sub[at, top] = pivot_row
+        clear = ((sub >> col) & 1).astype(bool)
+        clear[at, top] = False
+        sub ^= np.where(clear, pivot_row[:, None], np.uint32(0))
+        rows[mats] = sub
+        rank[mats] += 1
     return rank
 
 
@@ -235,16 +252,12 @@ def rank_test(bits, alpha=ALPHA_DEFAULT):
     n_mat = n // 1024
     if n_mat < 1:
         raise ValidationError("rank test needs at least one 32x32 matrix")
-    weights = 1 << np.arange(32, dtype=np.uint64)
-    block = bits[: n_mat * 1024].reshape(n_mat, 32, 32).astype(np.uint64)
-    packed = block @ weights  # each row becomes a 32-bit mask
-    full = minus1 = 0
-    for mat in packed:
-        r = _gf2_rank([int(v) for v in mat])
-        if r == 32:
-            full += 1
-        elif r == 31:
-            minus1 += 1
+    block = bits[: n_mat * 1024].reshape(n_mat, 32, 32)
+    # each row becomes a 32-bit mask, bit j holding column j
+    packed = np.packbits(block, axis=-1, bitorder="little").view("<u4")
+    ranks = _gf2_ranks(packed[:, :, 0])
+    full = int(np.count_nonzero(ranks == 32))
+    minus1 = int(np.count_nonzero(ranks == 31))
     rest = n_mat - full - minus1
     probs = _rank_probabilities()
     obs = np.array([full, minus1, rest], dtype=float)
@@ -426,16 +439,22 @@ def _pattern_counts(bits, m_len):
     return np.bincount(vals, minlength=1 << m_len).astype(float)
 
 
-def _phi(bits, m_len):
-    counts = _pattern_counts(bits, m_len)
-    probs = counts[counts > 0] / bits.size
+def _fold(counts):
+    """(m-1)-bit wrapped pattern counts from the m-bit ones: the first m-1
+    bits of pattern v are v >> 1, so each adjacent pair sums into one."""
+    return counts.reshape(-1, 2).sum(axis=1)
+
+
+def _phi(counts, n):
+    probs = counts[counts > 0] / n
     return float(np.sum(probs * np.log(probs)))
 
 
 def approximate_entropy_test(bits, pattern_len=10, alpha=ALPHA_DEFAULT):
     bits = _as_bits(bits)
     n = bits.size
-    apen = _phi(bits, pattern_len) - _phi(bits, pattern_len + 1)
+    longer = _pattern_counts(bits, pattern_len + 1)
+    apen = _phi(_fold(longer), n) - _phi(longer, n)
     chi2 = 2.0 * n * (math.log(2) - apen)
     p = gammaincc(2 ** (pattern_len - 1), chi2 / 2.0)
     return _result("approximate_entropy", p, alpha, apen=apen, chi2=chi2)
@@ -522,26 +541,49 @@ def random_excursions_variant_test(bits, alpha=ALPHA_DEFAULT):
 _LC_PI = (0.01047, 0.03125, 0.125, 0.5, 0.25, 0.0625, 0.020833)
 
 
-def _berlekamp_massey_length(block):
-    """Shortest LFSR length for one block, connection masks held in ints.
+def _linear_complexities(blocks):
+    """Shortest LFSR length of every row of an (n_blocks, M) 0/1 array.
 
-    Bit j of the mask c is the coefficient c_j; the rolling window int keeps
-    the last bits reversed so the discrepancy is one AND plus a popcount.
+    Berlekamp-Massey, bit-sliced: bit k of word g in every array below
+    belongs to block 64g + k, so one uint64 operation advances 64 blocks.
+    C[j] holds the connection polynomial's coefficient c_j. B is kept already
+    multiplied by x^(i - m), m being the lane's last length change, so the
+    shift is the same in every lane: B is a window that slides one row down
+    a zeroed buffer per step. Each lane's length L is a plain int.
     """
-    c, b = 1, 1
-    L, m_last = 0, -1
-    window = 0
-    for i, s in enumerate(int(v) for v in block):
-        d = s ^ (((c >> 1) & window).bit_count() & 1)
-        if d:
-            t = c
-            c ^= b << (i - m_last)
-            if 2 * L <= i:
-                L = i + 1 - L
-                m_last = i
-                b = t
-        window = (window << 1) | s
-    return L
+    n_blocks, m_len = blocks.shape
+    n_words = -(-n_blocks // 64)
+    # seq[t, g]: bit t of the 64 blocks of word g, lanes past the last block
+    # zero; rev is seq upside down, so rev[M - i:] lists bits i-1 down to 0
+    packed = np.zeros((n_words * 8, m_len), dtype=np.uint8)
+    packed[: -(-n_blocks // 8)] = np.packbits(blocks, axis=0, bitorder="little")
+    seq = packed.reshape(n_words, 8, m_len).transpose(2, 0, 1)
+    seq = np.ascontiguousarray(seq).view("<u8")[:, :, 0]
+    rev = seq[::-1].copy()
+    c = np.zeros((m_len + 1, n_words), dtype=np.uint64)
+    c[0] = ~np.uint64(0)
+    b_buf = np.zeros((2 * m_len + 2, n_words), dtype=np.uint64)
+    b_at = m_len + 1
+    b_buf[b_at] = c[0]
+    lengths = np.zeros(n_words * 64, dtype=np.int64)
+    scratch = np.empty((m_len, n_words), dtype=np.uint64)
+    for i in range(m_len):
+        b_at -= 1  # B <- x * B
+        d = seq[i] ^ np.bitwise_xor.reduce(
+            np.bitwise_and(c[1:i + 1], rev[m_len - i:], out=scratch[:i]),
+            axis=0)
+        if not d.any():
+            continue
+        # degrees stay at most i + 1, so rows past i + 1 are zero
+        top = min(i + 2, m_len + 1)
+        b = b_buf[b_at:b_at + top]
+        flip = np.unpackbits(d.view(np.uint8), bitorder="little").astype(bool)
+        grow = flip & (2 * lengths <= i)
+        lengths[grow] = i + 1 - lengths[grow]
+        swap = (b ^ c[:top]) & np.packbits(grow, bitorder="little").view("<u8")
+        c[:top] ^= b & d
+        b ^= swap  # B <- old C where the length grew
+    return lengths[:n_blocks]
 
 
 def linear_complexity_test(bits, block_len=500, alpha=ALPHA_DEFAULT):
@@ -554,25 +596,11 @@ def linear_complexity_test(bits, block_len=500, alpha=ALPHA_DEFAULT):
     mu = (m_len / 2.0 + (9 + (-1) ** (m_len + 1)) / 36.0
           - (m_len / 3.0 + 2.0 / 9.0) / 2.0 ** m_len)
     sign = (-1) ** m_len
-    nu = np.zeros(7)
     data = bits[: n_blocks * block_len].reshape(n_blocks, block_len)
-    for row in data:
-        L = _berlekamp_massey_length(row)
-        t = sign * (L - mu) + 2.0 / 9.0
-        if t <= -2.5:
-            nu[0] += 1
-        elif t <= -1.5:
-            nu[1] += 1
-        elif t <= -0.5:
-            nu[2] += 1
-        elif t <= 0.5:
-            nu[3] += 1
-        elif t <= 1.5:
-            nu[4] += 1
-        elif t <= 2.5:
-            nu[5] += 1
-        else:
-            nu[6] += 1
+    t = sign * (_linear_complexities(data) - mu) + 2.0 / 9.0
+    # class k holds edge[k-1] < t <= edge[k]
+    classes = np.searchsorted((-2.5, -1.5, -0.5, 0.5, 1.5, 2.5), t)
+    nu = np.bincount(classes, minlength=7).astype(float)
     expect = n_blocks * np.asarray(_LC_PI)
     chi2 = float(np.sum((nu - expect) ** 2 / expect))
     p = gammaincc(3.0, chi2 / 2.0)
@@ -583,20 +611,21 @@ def linear_complexity_test(bits, block_len=500, alpha=ALPHA_DEFAULT):
 # 15/16. serial
 # ---------------------------------------------------------------------------
 
-def _psi_squared(bits, m_len):
+def _psi_squared(counts, m_len, n):
     if m_len == 0:
         return 0.0
-    n = bits.size
-    counts = _pattern_counts(bits, m_len)
     return float(2.0 ** m_len / n * np.sum(counts ** 2) - n)
 
 
 def serial_test(bits, pattern_len=16, alpha=ALPHA_DEFAULT):
     """Returns (TestResult for nabla psi^2, TestResult for nabla^2 psi^2)."""
     bits = _as_bits(bits)
-    psi_m = _psi_squared(bits, pattern_len)
-    psi_m1 = _psi_squared(bits, pattern_len - 1)
-    psi_m2 = _psi_squared(bits, pattern_len - 2)
+    n = bits.size
+    counts_m = _pattern_counts(bits, pattern_len)
+    counts_m1 = _fold(counts_m)
+    psi_m = _psi_squared(counts_m, pattern_len, n)
+    psi_m1 = _psi_squared(counts_m1, pattern_len - 1, n)
+    psi_m2 = _psi_squared(_fold(counts_m1), pattern_len - 2, n)
     d1 = psi_m - psi_m1
     d2 = psi_m - 2 * psi_m1 + psi_m2
     p1 = gammaincc(2 ** (pattern_len - 2), d1 / 2.0)

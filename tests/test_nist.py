@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from parvault import prng
 from parvault.errors import ValidationError
@@ -244,6 +245,29 @@ def test_non_binary_input_rejected():
         nist.frequency_test(np.array([0, 1, 2], dtype=np.uint8))
 
 
+@pytest.mark.parametrize("bad", [
+    [0.6, 1.4] * 60,  # once truncated to [0, 1] * 60, p = 1.0
+    np.array([0.0, 1.0] * 60),  # integral floats are still not bits
+    [-1, 0] * 60,  # once a numpy OverflowError
+    np.array([0, 256] * 60, dtype=np.int64),  # once wrapped to 0 by uint8
+    ["0", "1"] * 60,
+    [None, 1] * 60,
+])
+def test_input_that_is_not_bits_is_a_validation_error(bad):
+    with pytest.raises(ValidationError):
+        nist.frequency_test(bad)
+
+
+@pytest.mark.parametrize("good", [
+    [False, True] * 60,
+    [0, 1] * 60,
+    np.array([0, 1] * 60, dtype=np.int8),
+    np.array([[0, 1]] * 60, dtype=np.uint64),
+])
+def test_bool_and_integer_bits_are_accepted(good):
+    assert nist.frequency_test(good).p_value == 1.0
+
+
 def test_medium_sequence_skips_heavy_tests():
     bits = prng.generate_bits(prng.DEFAULT_CONFIG, 5000)
     results = nist.nist_battery(bits)
@@ -273,3 +297,101 @@ def test_battery_is_deterministic():
 
 def test_battery_passed_requires_a_run_test():
     assert not nist.battery_passed([])
+
+
+# ---------------------------------------------------------------------------
+# batched kernels against the per-block and per-matrix references
+# ---------------------------------------------------------------------------
+
+def _berlekamp_massey_length(block):
+    """Shortest LFSR length for one block, connection masks held in ints.
+
+    Bit j of the mask c is the coefficient c_j; the rolling window int keeps
+    the last bits reversed so the discrepancy is one AND plus a popcount.
+    """
+    c, b = 1, 1
+    L, m_last = 0, -1
+    window = 0
+    for i, s in enumerate(int(v) for v in block):
+        d = s ^ (((c >> 1) & window).bit_count() & 1)
+        if d:
+            t = c
+            c ^= b << (i - m_last)
+            if 2 * L <= i:
+                L = i + 1 - L
+                m_last = i
+                b = t
+        window = (window << 1) | s
+    return L
+
+
+def _gf2_rank(rows):
+    """Rank over GF(2) of a matrix given as a list of row bitmasks."""
+    rank = 0
+    for col in range(32):
+        pivot = None
+        bit = 1 << col
+        for i in range(rank, len(rows)):
+            if rows[i] & bit:
+                pivot = i
+                break
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for i in range(len(rows)):
+            if i != rank and rows[i] & bit:
+                rows[i] ^= rows[rank]
+        rank += 1
+    return rank
+
+
+# rows that the random draw would hardly ever produce
+_SPECIAL_BLOCKS = {
+    "zeros": lambda m: np.zeros(m, dtype=np.uint8),
+    "ones": lambda m: np.ones(m, dtype=np.uint8),
+    "last_bit": lambda m: np.eye(1, m, m - 1, dtype=np.uint8)[0],
+}
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(block_len=st.sampled_from([500, 1000, 37]),
+       n_blocks=st.integers(1, 130),
+       density=st.sampled_from([0.5, 0.05, 0.95]),
+       seed=st.integers(0, 2**32 - 1),
+       special=st.lists(st.sampled_from(sorted(_SPECIAL_BLOCKS)),
+                        max_size=3))
+@example(block_len=500, n_blocks=63, density=0.5, seed=1,
+         special=["zeros", "ones", "last_bit"])
+@example(block_len=1000, n_blocks=1, density=0.5, seed=2, special=[])
+@example(block_len=37, n_blocks=65, density=0.5, seed=3,
+         special=["last_bit", "zeros"])
+def test_bit_sliced_lengths_match_reference(block_len, n_blocks, density,
+                                            seed, special):
+    rng = np.random.default_rng(seed)
+    blocks = (rng.random((n_blocks, block_len)) < density).astype(np.uint8)
+    for row, kind in zip(rng.permutation(n_blocks), special):
+        blocks[row] = _SPECIAL_BLOCKS[kind](block_len)
+    want = [_berlekamp_massey_length(row) for row in blocks]
+    assert nist._linear_complexities(blocks).tolist() == want
+
+
+def _matrix_of_rank(rng, rank):
+    # 32 random combinations of `rank` random rows; a rank-deficient matrix
+    # at every rank below 32, with no guarantee the rank is reached
+    basis = rng.integers(0, 1 << 32, size=rank, dtype=np.uint64)
+    picks = rng.integers(0, 2, size=(32, rank), dtype=np.uint64)
+    return np.bitwise_xor.reduce(picks * basis, axis=1,
+                                 initial=np.uint64(0)).astype(np.uint32)
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(n_mat=st.integers(1, 120), seed=st.integers(0, 2**32 - 1))
+@example(n_mat=1, seed=0)
+@example(n_mat=63, seed=1)
+def test_batched_ranks_match_reference(n_mat, seed):
+    rng = np.random.default_rng(seed)
+    mats = np.stack([_matrix_of_rank(rng, int(r))
+                     for r in rng.integers(0, 33, size=n_mat)])
+    mats[rng.integers(n_mat)] = 0
+    want = [_gf2_rank([int(v) for v in mat]) for mat in mats]
+    assert nist._gf2_ranks(mats).tolist() == want
