@@ -7,9 +7,10 @@ overlapping template of all ones (9-bit), Maurer's universal statistic,
 approximate entropy (10-bit), random excursions, random excursions variant,
 linear complexity (500-bit blocks), and the two serial statistics (16-bit).
 
-Inputs are numpy uint8 arrays of zeros and ones. Every test returns a
-TestResult carrying the test name, the p-value (a list where the test
-produces several), and the verdict at the requested significance level.
+Inputs are bool or integer arrays of zeros and ones; anything else is a
+ValidationError. Every test returns a TestResult carrying the test name,
+the p-value (a list where the test produces several), and the verdict at
+the requested significance level.
 nist_battery runs whichever tests the sequence is long enough for and marks
 the rest skipped; below 100 bits nothing is meaningful and the battery
 refuses to run.
@@ -556,7 +557,8 @@ def _linear_complexities(blocks):
     # seq[t, g]: bit t of the 64 blocks of word g, lanes past the last block
     # zero; rev is seq upside down, so rev[M - i:] lists bits i-1 down to 0
     packed = np.zeros((n_words * 8, m_len), dtype=np.uint8)
-    packed[: -(-n_blocks // 8)] = np.packbits(blocks, axis=0, bitorder="little")
+    packed[: -(-n_blocks // 8)] = np.packbits(blocks, axis=0,
+                                              bitorder="little")
     seq = packed.reshape(n_words, 8, m_len).transpose(2, 0, 1)
     seq = np.ascontiguousarray(seq).view("<u8")[:, :, 0]
     rev = seq[::-1].copy()
@@ -572,8 +574,6 @@ def _linear_complexities(blocks):
         d = seq[i] ^ np.bitwise_xor.reduce(
             np.bitwise_and(c[1:i + 1], rev[m_len - i:], out=scratch[:i]),
             axis=0)
-        if not d.any():
-            continue
         # degrees stay at most i + 1, so rows past i + 1 are zero
         top = min(i + 2, m_len + 1)
         b = b_buf[b_at:b_at + top]

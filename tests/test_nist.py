@@ -246,10 +246,10 @@ def test_non_binary_input_rejected():
 
 
 @pytest.mark.parametrize("bad", [
-    [0.6, 1.4] * 60,  # once truncated to [0, 1] * 60, p = 1.0
+    [0.6, 1.4] * 60,  # a cast to uint8 would read [0, 1] * 60, p = 1.0
     np.array([0.0, 1.0] * 60),  # integral floats are still not bits
-    [-1, 0] * 60,  # once a numpy OverflowError
-    np.array([0, 256] * 60, dtype=np.int64),  # once wrapped to 0 by uint8
+    [-1, 0] * 60,  # a cast to uint8 raises OverflowError
+    np.array([0, 256] * 60, dtype=np.int64),  # uint8 would wrap 256 to 0
     ["0", "1"] * 60,
     [None, 1] * 60,
 ])
@@ -353,9 +353,9 @@ _SPECIAL_BLOCKS = {
 }
 
 
-@settings(derandomize=True, max_examples=20, deadline=None)
+@settings(derandomize=True, max_examples=15, deadline=None)
 @given(block_len=st.sampled_from([500, 1000, 37]),
-       n_blocks=st.integers(1, 130),
+       n_blocks=st.integers(1, 100),
        density=st.sampled_from([0.5, 0.05, 0.95]),
        seed=st.integers(0, 2**32 - 1),
        special=st.lists(st.sampled_from(sorted(_SPECIAL_BLOCKS)),
@@ -363,6 +363,7 @@ _SPECIAL_BLOCKS = {
 @example(block_len=500, n_blocks=63, density=0.5, seed=1,
          special=["zeros", "ones", "last_bit"])
 @example(block_len=1000, n_blocks=1, density=0.5, seed=2, special=[])
+@example(block_len=1000, n_blocks=70, density=0.05, seed=4, special=["ones"])
 @example(block_len=37, n_blocks=65, density=0.5, seed=3,
          special=["last_bit", "zeros"])
 def test_bit_sliced_lengths_match_reference(block_len, n_blocks, density,
@@ -376,8 +377,8 @@ def test_bit_sliced_lengths_match_reference(block_len, n_blocks, density,
 
 
 def _matrix_of_rank(rng, rank):
-    # 32 random combinations of `rank` random rows; a rank-deficient matrix
-    # at every rank below 32, with no guarantee the rank is reached
+    # 32 random combinations of `rank` random rows: rank at most `rank`,
+    # so every rank below 32 is drawn
     basis = rng.integers(0, 1 << 32, size=rank, dtype=np.uint64)
     picks = rng.integers(0, 2, size=(32, rank), dtype=np.uint64)
     return np.bitwise_xor.reduce(picks * basis, axis=1,
