@@ -70,6 +70,36 @@ def _skip(name, why):
                       note=why)
 
 
+# a window starting at any bit of a byte ends within that byte's 32-bit word
+WINDOW_BITS = 25
+
+
+def _pattern_values(bits, m_len, wrap):
+    """The m_len-bit value of every window of bits, its first bit highest.
+
+    wrap=True gives n windows over the sequence wrapped around, wrap=False
+    the n - m_len + 1 windows inside it; m_len runs from 1 to WINDOW_BITS.
+    The bits are packed big-endian and byte q with the three bytes after it
+    read as one 32-bit word, which holds all eight windows that start in
+    byte q: the window at bit r of the byte is that word shifted right by
+    32 - m_len - r.
+    """
+    n = bits.size
+    if wrap:
+        bits = np.concatenate((bits, bits[: m_len - 1]))
+        count = n
+    else:
+        count = n - m_len + 1
+    packed = np.packbits(bits)
+    buf = np.zeros(packed.size + 3, dtype=np.uint8)
+    buf[: packed.size] = packed
+    words = np.ndarray((packed.size,), dtype=">u4", buffer=buf,
+                       strides=(1,)).astype(np.uint32)
+    shifts = np.arange(32 - m_len, 24 - m_len, -1, dtype=np.uint32)
+    mask = np.uint32((1 << m_len) - 1)
+    return ((words[:, None] >> shifts) & mask).ravel()[:count]
+
+
 # ---------------------------------------------------------------------------
 # 1. frequency
 # ---------------------------------------------------------------------------
@@ -91,6 +121,9 @@ def frequency_test(bits, alpha=ALPHA_DEFAULT):
 def block_frequency_test(bits, block_size=128, alpha=ALPHA_DEFAULT):
     bits = _as_bits(bits)
     n = bits.size
+    if block_size < 1:
+        raise ValidationError(
+            f"block size must be positive, got {block_size}")
     n_blocks = n // block_size
     if n_blocks < 1:
         raise ValidationError("sequence shorter than one block")
@@ -103,6 +136,16 @@ def block_frequency_test(bits, block_size=128, alpha=ALPHA_DEFAULT):
 # ---------------------------------------------------------------------------
 # 3. cumulative sums
 # ---------------------------------------------------------------------------
+
+def _walk(bits):
+    """Partial sums S_1..S_n of the +/-1 symbols.
+
+    Fewer than 2^31 symbols cannot carry a sum out of int32, whose cumsum
+    runs at twice the speed of int64's.
+    """
+    dtype = np.int32 if bits.size < 2**31 else np.int64
+    return np.cumsum(bits.view(np.int8) * 2 - 1, dtype=dtype)
+
 
 def _cusum_p(z, n):
     # two Phi sums over a k-range that shrinks as z grows; floor'd bounds
@@ -119,17 +162,20 @@ def _cusum_p(z, n):
 
 
 def cumulative_sums_test(bits, alpha=ALPHA_DEFAULT):
-    """Max excursion of the partial-sum walk, scanned forward and reverse."""
+    """Max excursion of the partial-sum walk, scanned forward and reverse.
+
+    The reverse walk's partial sums are S_n - S_j for j = n-1 down to 0, so
+    both maxima come from the forward sums S_1..S_n and S_0 = 0.
+    """
     bits = _as_bits(bits)
     n = bits.size
-    x = 2 * bits.astype(np.int64) - 1
-    ps = [None, None]
-    for mode, seq in enumerate((x, x[::-1])):
-        z = int(np.max(np.abs(np.cumsum(seq))))
-        if z == 0:
-            ps[mode] = 0.0
-            continue
-        ps[mode] = _cusum_p(z, n)
+    s = _walk(bits)
+    total = int(s[-1])
+    prefix = s[:-1]
+    zs = (max(int(s.max()), -int(s.min())),
+          max(total - int(prefix.min(initial=0)),
+              int(prefix.max(initial=0)) - total))
+    ps = [_cusum_p(z, n) if z else 0.0 for z in zs]
     return _result("cumulative_sums", ps, alpha)
 
 
@@ -167,12 +213,25 @@ _LONGEST_RUN_TABLES = (
 )
 
 
-def _longest_one_run(row):
-    if not row.any():
-        return 0
-    padded = np.concatenate(([0], row, [0]))
-    edges = np.flatnonzero(np.diff(padded))
-    return int(np.max(edges[1::2] - edges[::2]))
+def _clipped_longest_runs(rows, lo, hi):
+    """Longest run of ones in each row of a 0/1 array, clipped to lo..hi.
+
+    Round k ANDs each position with the bit k - 1 after it, so a position
+    stays set while a run of k ones starts there; a false column after each
+    row keeps runs from joining across rows. A row's clipped longest run is
+    lo plus the rounds past lo in which it still holds a set position.
+    """
+    n_rows, m_len = rows.shape
+    runs = np.zeros((n_rows, m_len + 1), dtype=bool)
+    runs[:, :m_len] = rows
+    flat = runs.ravel()
+    ones = flat.copy()
+    longest = np.full(n_rows, lo, dtype=np.int64)
+    for k in range(2, hi + 1):
+        flat[: flat.size - k + 1] &= ones[k - 1:]
+        if k > lo:
+            longest += runs.any(axis=1)
+    return longest
 
 
 def longest_run_test(bits, alpha=ALPHA_DEFAULT):
@@ -184,11 +243,9 @@ def longest_run_test(bits, alpha=ALPHA_DEFAULT):
         if n >= floor:
             break
     n_blocks = n // m_len
-    rows = bits[: n_blocks * m_len].reshape(n_blocks, m_len)
-    longest = np.fromiter((_longest_one_run(r) for r in rows), dtype=np.int64,
-                          count=n_blocks)
     lo, hi = edges[0], edges[-1]
-    clipped = np.clip(longest, lo, hi)
+    clipped = _clipped_longest_runs(
+        bits[: n_blocks * m_len].reshape(n_blocks, m_len), lo, hi)
     nu = np.bincount(clipped - lo, minlength=hi - lo + 1).astype(float)
     expect = n_blocks * np.asarray(probs)
     chi2 = float(np.sum((nu - expect) ** 2 / expect))
@@ -301,24 +358,32 @@ def non_overlapping_test(bits, template=DEFAULT_TEMPLATE, n_blocks=8,
     (M-m+1)/2^m and variance M(2^-m - (2m-1)2^-2m).
     """
     bits = _as_bits(bits)
-    tmpl = np.array([int(c) for c in template], dtype=np.uint8)
-    m_len = tmpl.size
+    if not template or set(template) - {"0", "1"}:
+        raise ValidationError(
+            f"template must be a 0/1 string, got {template!r}")
+    m_len = len(template)
+    if m_len > WINDOW_BITS:
+        raise ValidationError(f"template must be at most {WINDOW_BITS} bits, "
+                              f"got {m_len}")
+    if n_blocks < 1:
+        raise ValidationError(f"block count must be positive, got {n_blocks}")
     n = bits.size
     block_len = n // n_blocks
     if block_len <= m_len + 1:
         raise ValidationError("blocks too short for the template")
-    counts = []
-    for b in range(n_blocks):
-        seg = bits[b * block_len:(b + 1) * block_len]
-        win = np.lib.stride_tricks.sliding_window_view(seg, m_len)
-        hits = np.flatnonzero(np.all(win == tmpl, axis=1))
-        # greedy non-overlapping count
-        count, cursor = 0, -1
-        for pos in hits:
-            if pos > cursor:
-                count += 1
-                cursor = pos + m_len - 1
-        counts.append(count)
+    vals = _pattern_values(bits[: n_blocks * block_len], m_len, wrap=False)
+    hits = np.flatnonzero(vals == int(template, 2))
+    # windows that run past their block's end are not the block's
+    hits = hits[hits % block_len <= block_len - m_len]
+    # greedy non-overlapping count: a kept hit ends inside its own block, so
+    # one cursor serves every block
+    kept, cursor = [], -1
+    for pos in hits.tolist():
+        if pos > cursor:
+            kept.append(pos)
+            cursor = pos + m_len - 1
+    counts = np.bincount(np.array(kept, dtype=np.int64) // block_len,
+                         minlength=n_blocks).tolist()
     mu = (block_len - m_len + 1) / 2.0 ** m_len
     var = block_len * (2.0 ** -m_len - (2 * m_len - 1) * 2.0 ** (-2 * m_len))
     chi2 = float(sum((c - mu) ** 2 for c in counts) / var)
@@ -344,17 +409,32 @@ def _overlap_pi(k_classes, eta, m_len):
     return pis
 
 
+def _all_ones_windows(rows, m_len):
+    """Per row of a 0/1 array, the overlapping m_len-bit windows of ones."""
+    n_rows, row_len = rows.shape
+    # ones before each position of a row; a window of ones holds m_len
+    ones = np.zeros((n_rows, row_len + 1), dtype=np.int32)
+    np.cumsum(rows, axis=1, out=ones[:, 1:])
+    return np.count_nonzero(ones[:, m_len:] - ones[:, :-m_len] == m_len,
+                            axis=1)
+
+
 def overlapping_test(bits, template_len=9, block_len=1032, k_classes=5,
                      alpha=ALPHA_DEFAULT):
     bits = _as_bits(bits)
     n = bits.size
+    if block_len < 1:
+        raise ValidationError(
+            f"block length must be positive, got {block_len}")
+    if not 1 <= template_len <= block_len:
+        raise ValidationError(f"template length must be 1..{block_len}, "
+                              f"got {template_len}")
     n_blocks = n // block_len
     if n_blocks < 1:
         raise ValidationError("sequence shorter than one block")
-    win = np.lib.stride_tricks.sliding_window_view(
+    per_block = _all_ones_windows(
         bits[: n_blocks * block_len].reshape(n_blocks, block_len),
-        template_len, axis=1)
-    per_block = np.sum(np.all(win == 1, axis=2), axis=1)
+        template_len)
     nu = np.bincount(np.clip(per_block, 0, k_classes),
                      minlength=k_classes + 1).astype(float)
     lam = (block_len - template_len + 1) / 2.0 ** template_len
@@ -397,26 +477,35 @@ def universal_test(bits, block_len=None, init_blocks=None,
         else:
             raise ValidationError("universal test needs at least 387840 bits")
     L = block_len
+    if L not in _UNIVERSAL_EXPECTED:
+        raise ValidationError(f"universal block length must be 6..16, got {L}")
     Q = init_blocks if init_blocks is not None else 10 * (1 << L)
+    if Q < 0:
+        raise ValidationError(f"initialization blocks must be >= 0, got {Q}")
     total = n // L
     K = total - Q
     if K <= 0:
         raise ValidationError("not enough blocks after initialization")
-    vals = np.zeros(total, dtype=np.int64)
+    # 16-bit block values, which a stable argsort radix-sorts
+    vals = np.zeros(total, dtype=np.uint16)
     trimmed = bits[: total * L].reshape(total, L)
     for j in range(L):
         vals = (vals << 1) | trimmed[:, j]
-    last = np.zeros(1 << L, dtype=np.int64)
-    ivals = vals.tolist()
-    for i in range(Q):
-        last[ivals[i]] = i + 1
-    total_log = 0.0
+    # the stable sort puts each block right after the previous block with
+    # the same value; a first occurrence counts from block -1
+    order = np.argsort(vals, kind="stable")
+    repeat = vals[order[1:]] == vals[order[:-1]]
+    prev = np.full(total, -1, dtype=np.int64)
+    prev[order[1:][repeat]] = order[:-1][repeat]
+    gaps = np.arange(Q, total) - prev[Q:]
+    # math.log once per distinct gap; np.log may differ in the last bit
+    seen = np.flatnonzero(np.bincount(gaps))
     log2 = math.log(2)
-    for i in range(Q, total):
-        v = ivals[i]
-        total_log += math.log(i + 1 - last[v]) / log2
-        last[v] = i + 1
-    f_n = total_log / K
+    logs = np.zeros(seen[-1] + 1)
+    logs[seen] = [math.log(g) / log2 for g in seen.tolist()]
+    # accumulate adds left to right, as a running float sum does; np.sum
+    # adds pairwise
+    f_n = float(np.add.accumulate(logs[gaps])[-1]) / K
     expected = _UNIVERSAL_EXPECTED[L]
     var = _UNIVERSAL_VARIANCE[L]
     c = 0.7 - 0.8 / L + (4 + 32.0 / L) * K ** (-3.0 / L) / 15.0
@@ -432,12 +521,8 @@ def universal_test(bits, block_len=None, init_blocks=None,
 def _pattern_counts(bits, m_len):
     """Count of each overlapping m_len-bit pattern, the sequence wrapped
     around so that n bits give n patterns."""
-    n = bits.size
-    ext = np.concatenate((bits, bits[: m_len - 1])) if m_len > 1 else bits
-    vals = np.zeros(n, dtype=np.int64)
-    for j in range(m_len):
-        vals = (vals << 1) | ext[j:j + n]
-    return np.bincount(vals, minlength=1 << m_len).astype(float)
+    return np.bincount(_pattern_values(bits, m_len, wrap=True),
+                       minlength=1 << m_len).astype(float)
 
 
 def _fold(counts):
@@ -454,6 +539,9 @@ def _phi(counts, n):
 def approximate_entropy_test(bits, pattern_len=10, alpha=ALPHA_DEFAULT):
     bits = _as_bits(bits)
     n = bits.size
+    if not 0 <= pattern_len < WINDOW_BITS:
+        raise ValidationError(f"pattern length must be 0..{WINDOW_BITS - 1}, "
+                              f"got {pattern_len}")
     longer = _pattern_counts(bits, pattern_len + 1)
     apen = _phi(_fold(longer), n) - _phi(longer, n)
     chi2 = 2.0 * n * (math.log(2) - apen)
@@ -465,18 +553,24 @@ def approximate_entropy_test(bits, pattern_len=10, alpha=ALPHA_DEFAULT):
 # 12/13. random excursions (and variant)
 # ---------------------------------------------------------------------------
 
-def _excursion_cycles(bits):
-    walk = np.cumsum(2 * bits.astype(np.int64) - 1)
-    zeros = np.flatnonzero(walk == 0)
-    bounds = np.concatenate(([-1], zeros))
-    cycles = []
-    for a, b in zip(bounds[:-1], bounds[1:]):
-        cycles.append(walk[a + 1:b + 1])
-    # trailing partial excursion closes through a virtual final zero
-    if zeros.size == 0 or zeros[-1] != walk.size - 1:
-        start = zeros[-1] if zeros.size else -1
-        cycles.append(np.concatenate((walk[start + 1:], [0])))
-    return walk, cycles
+def _excursion_visits(bits, top):
+    """The zero-cycles of the partial-sum walk and their state visits.
+
+    Returns (J, visits), visits[c, x + top] being the steps of cycle c at
+    state x for |x| <= top. Each return to zero closes a cycle, and a walk
+    that does not end on zero closes its last one through a virtual final
+    zero; so a step's cycle is the number of returns to zero before it.
+    """
+    walk = _walk(bits)
+    near = np.flatnonzero((walk >= -top) & (walk <= top))
+    states = walk[near] + top
+    zeros = near[states == top]
+    open_tail = zeros.size == 0 or zeros[-1] != walk.size - 1
+    j_cycles = zeros.size + int(open_tail)
+    width = 2 * top + 1
+    cycle = np.searchsorted(zeros, near)
+    visits = np.bincount(cycle * width + states, minlength=j_cycles * width)
+    return j_cycles, visits.reshape(j_cycles, width)
 
 
 def _excursion_pi(x):
@@ -497,16 +591,16 @@ def random_excursions_test(bits, alpha=ALPHA_DEFAULT):
     """Per-state chi-square over visit multiplicities within zero-cycles."""
     bits = _as_bits(bits)
     n = bits.size
-    _, cycles = _excursion_cycles(bits)
-    j_cycles = len(cycles)
+    top = _EXCURSION_STATES[-1]
+    j_cycles, visits = _excursion_visits(bits, top)
     floor = max(500, int(0.005 * math.sqrt(n)))
     if j_cycles < floor:
         return _skip("random_excursions",
                      f"only {j_cycles} cycles, needs {floor}")
     ps = []
     for x in _EXCURSION_STATES:
-        visits = np.array([int(np.count_nonzero(c == x)) for c in cycles])
-        nu = np.bincount(np.clip(visits, 0, 5), minlength=6).astype(float)
+        nu = np.bincount(np.clip(visits[:, x + top], 0, 5),
+                         minlength=6).astype(float)
         expect = j_cycles * np.asarray(_excursion_pi(x))
         chi2 = float(np.sum((nu - expect) ** 2 / expect))
         ps.append(gammaincc(5 / 2.0, chi2 / 2.0))
@@ -518,15 +612,16 @@ def random_excursions_test(bits, alpha=ALPHA_DEFAULT):
 def random_excursions_variant_test(bits, alpha=ALPHA_DEFAULT):
     bits = _as_bits(bits)
     n = bits.size
-    walk, cycles = _excursion_cycles(bits)
-    j_cycles = len(cycles)
+    top = _VARIANT_STATES[-1]
+    j_cycles, visits = _excursion_visits(bits, top)
     floor = max(500, int(0.005 * math.sqrt(n)))
     if j_cycles < floor:
         return _skip("random_excursions_variant",
                      f"only {j_cycles} cycles, needs {floor}")
+    totals = visits.sum(axis=0)
     ps = []
     for x in _VARIANT_STATES:
-        xi = int(np.count_nonzero(walk == x))
+        xi = int(totals[x + top])
         denom = math.sqrt(2.0 * j_cycles * (4 * abs(x) - 2))
         ps.append(erfc(abs(xi - j_cycles) / denom))
     res = _result("random_excursions_variant", ps, alpha)
@@ -589,6 +684,9 @@ def _linear_complexities(blocks):
 def linear_complexity_test(bits, block_len=500, alpha=ALPHA_DEFAULT):
     bits = _as_bits(bits)
     n = bits.size
+    if block_len < 1:
+        raise ValidationError(
+            f"block length must be positive, got {block_len}")
     n_blocks = n // block_len
     if n_blocks < 1:
         raise ValidationError("sequence shorter than one block")
@@ -621,6 +719,9 @@ def serial_test(bits, pattern_len=16, alpha=ALPHA_DEFAULT):
     """Returns (TestResult for nabla psi^2, TestResult for nabla^2 psi^2)."""
     bits = _as_bits(bits)
     n = bits.size
+    if not 2 <= pattern_len <= WINDOW_BITS:
+        raise ValidationError(f"pattern length must be 2..{WINDOW_BITS}, "
+                              f"got {pattern_len}")
     counts_m = _pattern_counts(bits, pattern_len)
     counts_m1 = _fold(counts_m)
     psi_m = _psi_squared(counts_m, pattern_len, n)

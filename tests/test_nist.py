@@ -6,6 +6,7 @@ values (frozen from this implementation, cross-checked against the printed
 ones) guard against silent numeric drift.
 """
 
+import math
 from pathlib import Path
 
 import numpy as np
@@ -152,14 +153,20 @@ def test_e_excursions_minus_one_matches_document(e_battery):
     assert not e_battery["by_name"]["random_excursions"].passed
 
 
-@pytest.mark.parametrize("source", ["pi", "e", "keystream"])
+# keystream inputs by golden name: 1,000,000 bits, and the analyze blob's
+# 1,000,312 = 2^3 * 19 * 6581 bits, on which the FFT takes its Bluestein
+# path and the block tails are ragged
+KEYSTREAM_BYTES = {"keystream": 125_000, "keystream_1000312": 125_039}
+
+
+@pytest.mark.parametrize("source", ["pi", "e", *KEYSTREAM_BYTES])
 def test_battery_report_matches_golden(source, request):
     # the whole report, frozen before any kernel was batched: it holds every
     # statistic the report prints (chi2, counts, deltas) at full repr, which
     # the 1e-9 p-value tables above do not
-    if source == "keystream":
+    if source in KEYSTREAM_BYTES:
         bits = bits_from_bytes(prng.generate_bytes(prng.DEFAULT_CONFIG,
-                                                   125_000))
+                                                   KEYSTREAM_BYTES[source]))
         results = nist.nist_battery(bits)
     else:
         results = request.getfixturevalue(f"{source}_battery")["results"]
@@ -266,6 +273,35 @@ def test_input_that_is_not_bits_is_a_validation_error(bad):
 ])
 def test_bool_and_integer_bits_are_accepted(good):
     assert nist.frequency_test(good).p_value == 1.0
+
+
+@pytest.mark.parametrize("call", [
+    lambda b: nist.block_frequency_test(b, block_size=0),
+    lambda b: nist.linear_complexity_test(b, block_len=0),
+    lambda b: nist.serial_test(b, pattern_len=1),
+    lambda b: nist.serial_test(b, pattern_len=nist.WINDOW_BITS + 1),
+    lambda b: nist.approximate_entropy_test(b, pattern_len=-1),
+    lambda b: nist.approximate_entropy_test(b, pattern_len=nist.WINDOW_BITS),
+    lambda b: nist.non_overlapping_test(b, template="0" * nist.WINDOW_BITS
+                                        + "1"),
+    lambda b: nist.non_overlapping_test(b, template=""),
+    lambda b: nist.non_overlapping_test(b, template="0120"),
+    lambda b: nist.non_overlapping_test(b, n_blocks=0),
+    lambda b: nist.overlapping_test(b, block_len=0),
+    lambda b: nist.overlapping_test(b, template_len=0, block_len=100),
+    lambda b: nist.overlapping_test(b, template_len=101, block_len=100),
+    lambda b: nist.universal_test(b, block_len=5, init_blocks=10),
+    lambda b: nist.universal_test(b, block_len=17, init_blocks=0),
+    lambda b: nist.universal_test(b, block_len=6, init_blocks=-1),
+], ids=["block_size_0", "lc_block_0", "serial_1", "serial_past_window",
+        "apen_negative", "apen_past_window", "template_past_window",
+        "template_empty", "template_not_bits", "template_blocks_0",
+        "overlap_block_0", "overlap_template_0", "overlap_template_long",
+        "universal_5", "universal_17", "universal_init_negative"])
+def test_bad_parameters_are_validation_errors(call):
+    bits = prng.generate_bits(prng.DEFAULT_CONFIG, 4000)
+    with pytest.raises(ValidationError):
+        call(bits)
 
 
 def test_medium_sequence_skips_heavy_tests():
@@ -396,3 +432,211 @@ def test_batched_ranks_match_reference(n_mat, seed):
     mats[rng.integers(n_mat)] = 0
     want = [_gf2_rank([int(v) for v in mat]) for mat in mats]
     assert nist._gf2_ranks(mats).tolist() == want
+
+
+# ---------------------------------------------------------------------------
+# whole-array kernels against the loops they replaced
+# ---------------------------------------------------------------------------
+
+def _draw_bits(seed, n, density):
+    rng = np.random.default_rng(seed)
+    return (rng.random(n) < density).astype(np.uint8)
+
+
+def _pattern_counts_by_shifts(bits, m_len):
+    """Wrapped m_len-bit pattern counts, one int64 shift per pattern bit."""
+    n = bits.size
+    ext = np.concatenate((bits, bits[: m_len - 1])) if m_len > 1 else bits
+    vals = np.zeros(n, dtype=np.int64)
+    for j in range(m_len):
+        vals = (vals << 1) | ext[j:j + n]
+    return np.bincount(vals, minlength=1 << m_len).astype(float)
+
+
+# lengths that are not a multiple of 8 or 64, a few that are, and the
+# all-zeros and all-ones sequences through density 0 and 1
+_LENGTHS = st.sampled_from([25, 63, 65, 200, 1001, 4099, 4096])
+_DENSITIES = st.sampled_from([0.0, 0.05, 0.5, 0.95, 1.0])
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(n=_LENGTHS, density=_DENSITIES, seed=st.integers(0, 2**32 - 1),
+       m_len=st.integers(1, 16))
+def test_pattern_counts_match_shifted_windows(n, density, seed, m_len):
+    bits = _draw_bits(seed, n, density)
+    assert np.array_equal(nist._pattern_counts(bits, m_len),
+                          _pattern_counts_by_shifts(bits, m_len))
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(n=_LENGTHS, density=_DENSITIES, seed=st.integers(0, 2**32 - 1),
+       m_len=st.integers(1, nist.WINDOW_BITS), wrap=st.booleans())
+@example(n=63, density=0.5, seed=1, m_len=nist.WINDOW_BITS, wrap=True)
+@example(n=65, density=1.0, seed=2, m_len=nist.WINDOW_BITS, wrap=False)
+def test_window_values_match_sliding_windows(n, density, seed, m_len, wrap):
+    bits = _draw_bits(seed, n, density)
+    ext = np.concatenate((bits, bits[: m_len - 1])) if wrap else bits
+    weights = 1 << np.arange(m_len - 1, -1, -1, dtype=np.int64)
+    want = np.lib.stride_tricks.sliding_window_view(
+        ext.astype(np.int64), m_len) @ weights
+    assert np.array_equal(nist._pattern_values(bits, m_len, wrap), want)
+
+
+def _template_counts(bits, template, n_blocks):
+    """Greedy non-overlapping hits per block, block by block."""
+    tmpl = np.array([int(c) for c in template], dtype=np.uint8)
+    block_len = bits.size // n_blocks
+    counts = []
+    for b in range(n_blocks):
+        seg = bits[b * block_len:(b + 1) * block_len]
+        win = np.lib.stride_tricks.sliding_window_view(seg, tmpl.size)
+        count, cursor = 0, -1
+        for pos in np.flatnonzero(np.all(win == tmpl, axis=1)):
+            if pos > cursor:
+                count += 1
+                cursor = pos + tmpl.size - 1
+        counts.append(count)
+    return counts
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(n=st.sampled_from([1001, 4099, 8000, 9999]), density=_DENSITIES,
+       seed=st.integers(0, 2**32 - 1), n_blocks=st.integers(1, 9),
+       template=st.text("01", min_size=1, max_size=nist.WINDOW_BITS))
+@example(n=9999, density=1.0, seed=0, n_blocks=7, template="111")
+@example(n=9999, density=0.0, seed=0, n_blocks=8, template="0" * 9)
+@example(n=8000, density=0.5, seed=3, n_blocks=8, template="000000001")
+@example(n=4099, density=0.5, seed=4, n_blocks=3, template="1")
+def test_template_counts_match_block_scan(n, density, seed, n_blocks,
+                                          template):
+    bits = _draw_bits(seed, n, density)
+    res = nist.non_overlapping_test(bits, template=template, n_blocks=n_blocks)
+    assert res.stats["counts"] == _template_counts(bits, template, n_blocks)
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(rows=st.integers(1, 40), row_len=st.sampled_from([9, 63, 130, 1032]),
+       density=_DENSITIES, seed=st.integers(0, 2**32 - 1),
+       m_len=st.integers(1, 12))
+def test_all_ones_windows_match_sliding_windows(rows, row_len, density, seed,
+                                                m_len):
+    blocks = _draw_bits(seed, rows * row_len, density).reshape(rows, row_len)
+    m_len = min(m_len, row_len)
+    win = np.lib.stride_tricks.sliding_window_view(blocks, m_len, axis=1)
+    want = np.sum(np.all(win == 1, axis=2), axis=1)
+    assert np.array_equal(nist._all_ones_windows(blocks, m_len), want)
+
+
+def _longest_one_run(row):
+    if not row.any():
+        return 0
+    padded = np.concatenate(([0], row, [0]))
+    edges = np.flatnonzero(np.diff(padded))
+    return int(np.max(edges[1::2] - edges[::2]))
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(table=st.sampled_from(nist._LONGEST_RUN_TABLES),
+       rows=st.integers(1, 30), density=_DENSITIES,
+       seed=st.integers(0, 2**32 - 1))
+@example(table=nist._LONGEST_RUN_TABLES[0], rows=2, density=1.0, seed=0)
+def test_clipped_longest_runs_match_row_scan(table, rows, density, seed):
+    _, m_len, edges, _ = table
+    lo, hi = edges[0], edges[-1]
+    blocks = _draw_bits(seed, rows * m_len, density).reshape(rows, m_len)
+    # runs that straddle rows must not join: a row ending and one starting
+    # in ones
+    blocks[0, -3:] = 1
+    if rows > 1:
+        blocks[1, :3] = 1
+    want = np.clip([_longest_one_run(r) for r in blocks], lo, hi)
+    assert np.array_equal(nist._clipped_longest_runs(blocks, lo, hi), want)
+
+
+def _universal_f_n(bits, L, Q):
+    """Maurer's statistic by the scalar loop over blocks."""
+    total = bits.size // L
+    vals = np.zeros(total, dtype=np.int64)
+    trimmed = bits[: total * L].reshape(total, L)
+    for j in range(L):
+        vals = (vals << 1) | trimmed[:, j]
+    last = [0] * (1 << L)
+    ivals = vals.tolist()
+    for i in range(Q):
+        last[ivals[i]] = i + 1
+    total_log = 0.0
+    for i in range(Q, total):
+        v = ivals[i]
+        total_log += math.log(i + 1 - last[v]) / math.log(2)
+        last[v] = i + 1
+    return total_log / (total - Q)
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(L=st.integers(6, 8), Q=st.sampled_from([0, 1, 100, 640]),
+       K=st.integers(1, 3000), tail=st.integers(0, 7), density=_DENSITIES,
+       seed=st.integers(0, 2**32 - 1))
+@example(L=6, Q=0, K=2000, tail=5, density=0.5, seed=0)
+def test_universal_statistic_matches_scalar_loop(L, Q, K, tail, density,
+                                                 seed):
+    bits = _draw_bits(seed, L * (Q + K) + tail, density)
+    res = nist.universal_test(bits, block_len=L, init_blocks=Q)
+    assert res.stats["f_n"] == _universal_f_n(bits, L, Q)
+
+
+def _cycle_visits(bits, top):
+    """Visits to each nonzero state -top..top, per zero-cycle, from the
+    list of cycle arrays; the open last cycle gets a virtual final zero."""
+    walk = np.cumsum(2 * bits.astype(np.int64) - 1)
+    zeros = np.flatnonzero(walk == 0)
+    bounds = np.concatenate(([-1], zeros))
+    cycles = [walk[a + 1:b + 1] for a, b in zip(bounds[:-1], bounds[1:])]
+    if zeros.size == 0 or zeros[-1] != walk.size - 1:
+        start = zeros[-1] if zeros.size else -1
+        cycles.append(np.concatenate((walk[start + 1:], [0])))
+    states = [x for x in range(-top, top + 1) if x]
+    return np.array([[np.count_nonzero(c == x) for x in states]
+                     for c in cycles])
+
+
+def _walk_ending_on_zero(seed, n):
+    bits = _draw_bits(seed, n, 0.5)
+    excess = 2 * int(bits.sum()) - n
+    pad = np.full(abs(excess), int(excess < 0), dtype=np.uint8)
+    return np.concatenate((bits, pad))
+
+
+_WALKS = {
+    "random": lambda seed, n: _draw_bits(seed, n, 0.5),
+    "never_returns": lambda seed, n: np.ones(n, dtype=np.uint8),
+    "drifts_away": lambda seed, n: _draw_bits(seed, n, 0.7),
+    "ends_on_zero": _walk_ending_on_zero,
+    "returns_every_second_step": lambda seed, n: np.arange(n) % 2,
+    "zeros": lambda seed, n: np.zeros(n, dtype=np.uint8),
+}
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(walk=st.sampled_from(sorted(_WALKS)), n=st.sampled_from([1, 63, 1001,
+                                                                 20_003]),
+       top=st.sampled_from([4, 9]), seed=st.integers(0, 2**32 - 1))
+@example(walk="ends_on_zero", n=20_003, top=4, seed=5)
+@example(walk="never_returns", n=1001, top=9, seed=0)
+def test_excursion_visits_match_cycle_list(walk, n, top, seed):
+    bits = _WALKS[walk](seed, n).astype(np.uint8)
+    want = _cycle_visits(bits, top)
+    j_cycles, visits = nist._excursion_visits(bits, top)
+    assert j_cycles == len(want)
+    assert np.array_equal(np.delete(visits, top, axis=1), want)
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(walk=st.sampled_from(sorted(_WALKS)), n=st.sampled_from([1, 2, 63,
+                                                                 1001]),
+       seed=st.integers(0, 2**32 - 1))
+def test_cumulative_sums_match_two_scans(walk, n, seed):
+    bits = _WALKS[walk](seed, n).astype(np.uint8)
+    x = 2 * bits.astype(np.int64) - 1
+    zs = [int(np.max(np.abs(np.cumsum(seq)))) for seq in (x, x[::-1])]
+    want = [nist._cusum_p(z, bits.size) if z else 0.0 for z in zs]
+    assert nist.cumulative_sums_test(bits).p_value == want
