@@ -6,6 +6,8 @@ replayable journal, scripted simulation, the statistics runs, and the
 attribute-count benchmark. Everything is seed-deterministic: the same
 flags produce byte-identical artifacts. Each subcommand takes only the
 flags it reads, and refuses a pair of flags of which it would ignore one.
+The statistics package, and scipy with it, is imported only by the
+analyze and bench commands, so the others start without it.
 
 The vault model deserves a note. A journal (vault.jsonl in the output
 directory) records every command as one JSON line; each invocation
@@ -26,7 +28,7 @@ import os
 import sys
 import time
 
-from . import fbsc, prng, protocol, rsacrt, statsuite
+from . import fbsc, prng, protocol, rsacrt
 from .digests import digest64_ints, digest64_text
 from .errors import ParvaultError, ValidationError
 
@@ -319,6 +321,7 @@ def _cmd_simulate(args):
 def _input_bytes(path):
     """Bytes for statistics: blob -> quantized elements, PGM -> pixels,
     anything else verbatim."""
+    from . import statsuite
     if path.endswith(".blob"):
         with open(path, "rb") as fh:
             blob = fbsc.parse_blob(fh.read())
@@ -330,6 +333,7 @@ def _input_bytes(path):
 
 
 def _cmd_analyze_nist(args):
+    from . import statsuite
     out = _ensure_out(args)
     data = _input_bytes(args.input)
     bits = statsuite.bits_from_bytes(data)
@@ -346,6 +350,7 @@ def _cmd_analyze_nist(args):
 
 
 def _cmd_analyze_corr(args):
+    from . import statsuite
     out = _ensure_out(args)
     image = statsuite.load_pgm(args.input)
     name = os.path.splitext(os.path.basename(args.input))[0]
@@ -378,6 +383,7 @@ def _cmd_analyze_corr(args):
 
 
 def _cmd_analyze_hist(args):
+    from . import statsuite
     out = _ensure_out(args)
     data = _input_bytes(args.input)
     chi2, p, counts = statsuite.histogram_chi_square(data)
@@ -464,6 +470,7 @@ def linear_fit(rows, col=1):
 
 
 def _cmd_bench(args):
+    from . import statsuite
     out = _ensure_out(args)
     counts = [int(c) for c in args.attrs.split(",") if c]
     rows = bench_attributes(counts, repetitions=args.reps, seed=args.seed,

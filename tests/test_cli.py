@@ -651,6 +651,16 @@ def _agree_with_module_run(out, stdout, tmp_path):
             (tmp_path / "module" / name).read_bytes(), name
 
 
+def test_importing_the_cli_leaves_scipy_out(tmp_path):
+    # only analyze and bench use the statistics package, and scipy with it
+    probe = ("import sys\n"
+             "import parvault.cli\n"
+             "print(sorted(m for m in sys.modules\n"
+             "             if m.split('.')[0] == 'scipy'\n"
+             "             or m.startswith('parvault.statsuite')))\n")
+    assert _launch([sys.executable, "-c", probe], tmp_path).stdout == "[]\n"
+
+
 @pytest.mark.skipif(not PYPROJECT.exists(),
                     reason="pyproject.toml not found next to the tests")
 def test_console_script_entry_point(tmp_path):
