@@ -141,7 +141,7 @@ def _walk(bits):
     """Partial sums S_1..S_n of the +/-1 symbols.
 
     Fewer than 2^31 symbols cannot carry a sum out of int32, whose cumsum
-    runs at twice the speed of int64's.
+    runs more than twice as fast as int64's.
     """
     dtype = np.int32 if bits.size < 2**31 else np.int64
     return np.cumsum(bits.view(np.int8) * 2 - 1, dtype=dtype)
