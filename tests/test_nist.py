@@ -161,9 +161,9 @@ KEYSTREAM_BYTES = {"keystream": 125_000, "keystream_1000312": 125_039}
 
 @pytest.mark.parametrize("source", ["pi", "e", *KEYSTREAM_BYTES])
 def test_battery_report_matches_golden(source, request):
-    # the whole report, frozen before any kernel was batched: it holds every
-    # statistic the report prints (chi2, counts, deltas) at full repr, which
-    # the 1e-9 p-value tables above do not
+    # the whole report, each frozen before the kernels it guards were
+    # batched: it holds every statistic the report prints (chi2, counts,
+    # deltas) at full repr, which the 1e-9 p-value tables above do not
     if source in KEYSTREAM_BYTES:
         bits = bits_from_bytes(prng.generate_bytes(prng.DEFAULT_CONFIG,
                                                    KEYSTREAM_BYTES[source]))
