@@ -42,14 +42,17 @@ class TestResult:
     stats: dict = field(default_factory=dict)
 
 
-def _as_bits(bits):
-    """Bits as a flat uint8 0/1 array; bool and integer 0/1 input only."""
+def _as_bits(bits, empty_ok=False):
+    """Bits as a flat uint8 0/1 array; bool and integer 0/1 input only,
+    and at least one bit unless empty_ok."""
     arr = np.asarray(bits).ravel()
-    if arr.dtype == np.bool_:
-        return arr.view(np.uint8)
-    if arr.dtype.kind not in "iu":
+    if arr.dtype != np.bool_ and arr.dtype.kind not in "iu":
         raise ValidationError(
             f"bit array must be bool or integer, got dtype {arr.dtype}")
+    if not (arr.size or empty_ok):
+        raise ValidationError("bit array is empty")
+    if arr.dtype == np.bool_:
+        return arr.view(np.uint8)
     if arr.size and (arr.min() < 0 or arr.max() > 1):
         raise ValidationError("bit array must contain only 0 and 1")
     return arr.astype(np.uint8, copy=False)
@@ -187,8 +190,9 @@ def runs_test(bits, alpha=ALPHA_DEFAULT):
     bits = _as_bits(bits)
     n = bits.size
     pi = float(bits.mean())
-    # frequency precondition; a hopeless bias short-circuits to p = 0
-    if abs(pi - 0.5) >= 2.0 / math.sqrt(n):
+    # frequency precondition; a hopeless bias short-circuits to p = 0, as
+    # does a constant sequence under 16 bits, which the bound lets through
+    if abs(pi - 0.5) >= 2.0 / math.sqrt(n) or pi in (0.0, 1.0):
         return _result("runs", 0.0, alpha, pi=pi, precheck=False)
     v_obs = 1 + int(np.count_nonzero(np.diff(bits)))
     num = abs(v_obs - 2.0 * n * pi * (1 - pi))
@@ -329,11 +333,61 @@ def rank_test(bits, alpha=ALPHA_DEFAULT):
 # 7. spectral (DFT)
 # ---------------------------------------------------------------------------
 
+def _largest_prime_factor(n):
+    largest, f = 1, 2
+    while f * f <= n:
+        while n % f == 0:
+            largest, n = f, n // f
+        f += 1
+    return max(largest, n)
+
+
+# the twiddle of row k1 = a + _TWIDDLE_ROWS * b is the product of row a of
+# one small table and row b of another, which costs far fewer complex
+# exponentials than the n / 2 of a whole table
+_TWIDDLE_ROWS = 128
+
+
+def _dft_magnitudes(x):
+    """|X[k]| for k < n // 2, where X is the DFT of the real array x.
+
+    pocketfft factors a length directly when its largest prime factor p has
+    p * p <= n; otherwise it runs Bluestein's algorithm over buffers of about
+    2n points. Such a length is split four-step (Cooley and Tukey 1965;
+    Bailey 1990) as n = p * q, x[n1 * q + n2] read as row n1, column n2:
+    p-point transforms down the columns, a twiddle W_n^(k1 * n2), q-point
+    transforms along the rows. Then Z[k1, k2] = X[k1 + p * k2]. The columns
+    are real, so only rows k1 <= p // 2 are computed; the rest follow from
+    |X[k]| = |X[n - k]|, that is |Z[p - k1, q - 1 - k2]|.
+    """
+    n = x.size
+    p = _largest_prime_factor(n)
+    q = n // p
+    if p * p <= n or q == 1:
+        return np.abs(np.fft.rfft(x))[: n // 2]
+    z = np.fft.rfft(x.reshape(p, q), axis=0)
+    half = z.shape[0]
+    # k1 * n2 < p * q = n, so no exponent needs reducing mod n
+    n2 = np.arange(q)
+
+    def twiddles(k1):
+        return np.exp(-2j * math.pi / n * np.outer(k1, n2))
+
+    low = twiddles(np.arange(_TWIDDLE_ROWS))
+    for b, high in enumerate(twiddles(np.arange(0, half, _TWIDDLE_ROWS))):
+        rows = z[b * _TWIDDLE_ROWS: (b + 1) * _TWIDDLE_ROWS]
+        rows *= low[: rows.shape[0]] * high
+    mags = np.abs(np.fft.fft(z, axis=1))
+    full = np.empty((q, p))
+    full[:, :half] = mags.T
+    full[:, half:] = mags[half - 1: 0: -1, ::-1].T
+    return full.ravel()[: n // 2]
+
+
 def dft_test(bits, alpha=ALPHA_DEFAULT):
     bits = _as_bits(bits)
     n = bits.size
-    x = 2.0 * bits - 1.0
-    mags = np.abs(np.fft.rfft(x))[: n // 2]
+    mags = _dft_magnitudes(2.0 * bits - 1.0)
     threshold = math.sqrt(math.log(1 / 0.05) * n)
     n0 = 0.95 * n / 2.0
     n1 = int(np.count_nonzero(mags < threshold))
@@ -763,7 +817,7 @@ _FLOORS = {
 
 def nist_battery(bits, alpha=ALPHA_DEFAULT):
     """Run every applicable test; returns the sixteen results in order."""
-    bits = _as_bits(bits)
+    bits = _as_bits(bits, empty_ok=True)
     n = bits.size
     if n < HARD_FLOOR:
         raise SequenceTooShortError(

@@ -640,3 +640,56 @@ def test_cumulative_sums_match_two_scans(walk, n, seed):
     zs = [int(np.max(np.abs(np.cumsum(seq)))) for seq in (x, x[::-1])]
     want = [nist._cusum_p(z, bits.size) if z else 0.0 for z in zs]
     assert nist.cumulative_sums_test(bits).p_value == want
+
+
+def _largest_prime_factor_by_division(n):
+    return max((f for f in range(2, n + 1)
+                if n % f == 0 and all(f % d for d in range(2, f))), default=1)
+
+
+def test_largest_prime_factor_matches_trial_division():
+    assert ([nist._largest_prime_factor(n) for n in range(1, 600)]
+            == [_largest_prime_factor_by_division(n) for n in range(1, 600)])
+
+
+_SPLIT_PRIMES = (101, 1009, 4099)
+# smooth lengths (largest prime p with p * p <= n) and primes stay on rfft;
+# 2 * prime and prime * q with q < prime take the four-step split
+_DFT_LENGTHS = st.one_of(
+    st.sampled_from([1, 2, 100, 1024, 2310, 6000]),
+    st.sampled_from((3, 7919) + _SPLIT_PRIMES),
+    st.sampled_from((3, 5) + _SPLIT_PRIMES).map(lambda p: 2 * p),
+    st.builds(lambda p, q: p * q, st.sampled_from(_SPLIT_PRIMES),
+              st.integers(3, 60)),
+)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(n=_DFT_LENGTHS, density=_DENSITIES, seed=st.integers(0, 2**32 - 1))
+@example(n=6581 * 19, density=0.5, seed=3)
+def test_dft_magnitudes_match_rfft(n, density, seed):
+    x = 2.0 * _draw_bits(seed, n, density) - 1.0
+    want = np.abs(np.fft.rfft(x))[: n // 2]  # what dft_test ran before the split
+    got = nist._dft_magnitudes(x)
+    assert got.shape == want.shape
+    assert np.abs(got - want).max(initial=0.0) <= 1e-9 * math.sqrt(n)
+    stats = nist.dft_test(x > 0).stats
+    assert stats["peaks_below"] == int(np.count_nonzero(
+        want < stats["threshold"]))
+
+
+@pytest.mark.parametrize("test", [
+    nist.frequency_test, nist.cumulative_sums_test, nist.runs_test,
+    nist.dft_test, nist.serial_test, nist.approximate_entropy_test,
+])
+def test_empty_bit_array_is_a_validation_error(test):
+    with pytest.raises(ValidationError, match="empty"):
+        test(np.zeros(0, dtype=np.uint8))
+
+
+@pytest.mark.parametrize("n", [1, 2, 15, 16])
+@pytest.mark.parametrize("bit", [0, 1])
+def test_runs_on_a_constant_sequence_fails_its_precheck(n, bit):
+    result = nist.runs_test(np.full(n, bit, dtype=np.uint8))
+    assert result.p_value == 0.0
+    assert result.stats["precheck"] is False
