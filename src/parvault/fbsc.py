@@ -333,11 +333,11 @@ def serialize_blob(blob):
     head.append(blob.n2_len)
     head += blob.epoch.to_bytes(4, "big")
     head += len(blob.elements).to_bytes(8, "big")
-    # at most 256 distinct elements under one key: format each once
-    texts = {e: format_element(e, blob.f_digits)
+    # at most 256 distinct elements under one key: format each line once,
+    # then copy the header and every line into the result in one join
+    texts = {e: format_element(e, blob.f_digits).encode("ascii") + b"\n"
              for e in dict.fromkeys(blob.elements)}
-    body = "\n".join(map(texts.__getitem__, blob.elements))
-    return bytes(head) + body.encode("ascii") + (b"\n" if blob.elements else b"")
+    return b"".join([bytes(head), *map(texts.__getitem__, blob.elements)])
 
 
 def _parse_line(line, f_digits):
@@ -360,14 +360,21 @@ def parse_blob(raw):
     n1_len, n2_len = raw[16], raw[17]
     epoch = int.from_bytes(raw[18:22], "big")
     count = int.from_bytes(raw[22:30], "big")
-    body = raw[_HEADER_LEN:]
-    if not body.isascii():
+    # split raw itself, not a copy of its body: the header's own newline
+    # bytes end parts of it, so those parts are joined back and the header
+    # cut off the first line
+    lines = raw.split(b"\n")
+    head_breaks = raw.count(b"\n", 0, _HEADER_LEN)
+    lines[: head_breaks + 1] = [
+        b"\n".join(lines[: head_breaks + 1])[_HEADER_LEN:]]
+    lines = list(filter(None, lines))
+    # each distinct line is checked and parsed once
+    distinct = dict.fromkeys(lines)
+    if not all(map(bytes.isascii, distinct)):
         raise BlobFormatError("blob body is not ASCII text")
-    lines = list(filter(None, body.split(b"\n")))
     if len(lines) != count:
         raise BlobFormatError(f"element count {len(lines)} != header {count}")
-    # each distinct line is checked and parsed once
-    values = {ln: _parse_line(ln, f_digits) for ln in dict.fromkeys(lines)}
+    values = {ln: _parse_line(ln, f_digits) for ln in distinct}
     elements = list(map(values.__getitem__, lines))
     return EncryptedBlob(r_n=r_n, f_digits=f_digits, key_fingerprint=fingerprint,
                          n1_len=n1_len, n2_len=n2_len, epoch=epoch,

@@ -373,3 +373,31 @@ def test_blob_repeated_elements_roundtrip():
     assert back == blob
     assert fbsc.decrypt_stream(back.elements, KEY_20_3,
                                bytes(len(data))) == data
+
+
+def _blob_with_newlines_in_header(elements):
+    # r_n, n1_len, n2_len, the low epoch byte and, with ten elements, the low
+    # count byte are all 0x0A; the fingerprint holds newlines and non-ASCII
+    return fbsc.EncryptedBlob(r_n=10, f_digits=fbsc.DEFAULT_PRECISION,
+                              key_fingerprint=b"\n\x80fp\n\n\xff\n",
+                              n1_len=10, n2_len=10, epoch=10,
+                              elements=elements)
+
+
+@pytest.mark.parametrize("count", [0, 1, 10])
+def test_blob_with_newlines_in_its_header_roundtrips(count):
+    els = fbsc.encrypt_stream(bytes(range(count)), KEY_20_3, bytes(count))
+    blob = _blob_with_newlines_in_header(els)
+    raw = fbsc.serialize_blob(blob)
+    assert raw[:fbsc._HEADER_LEN].count(b"\n") >= 8
+    assert fbsc.parse_blob(raw) == blob
+
+
+def test_truncated_blob_with_newlines_in_its_header_rejected():
+    els = fbsc.encrypt_stream(b"0123456789", KEY_20_3, keystream(10))
+    raw = fbsc.serialize_blob(_blob_with_newlines_in_header(els))
+    cut = raw.rfind(b"\n", 0, len(raw) - 1)
+    with pytest.raises(fbsc.BlobFormatError, match="count 9 != header 10"):
+        fbsc.parse_blob(raw[:cut + 1])
+    with pytest.raises(fbsc.BlobFormatError, match="count 0 != header 10"):
+        fbsc.parse_blob(raw[:fbsc._HEADER_LEN])
