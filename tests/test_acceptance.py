@@ -27,6 +27,7 @@ from parvault.statsuite import (
     nist_battery,
     synthetic_image,
 )
+from leakscan import leaked_needles
 from test_nist import PUBLISHED_E, PUBLISHED_PI, _anchored_p
 
 TABLE_POINTS = [(1, 1494), (2, 1942), (3, 2578), (4, 3402), (5, 4414),
@@ -268,41 +269,6 @@ def test_criterion_08_storage_overhead(acceptance_report):
     assert exact
 
 
-def _leaked_needles(haystack, needles):
-    """Which needles occur in haystack; equivalent to `n in haystack` for
-    every n, but in one vectorized pass instead of hundreds over 100+ MB.
-
-    Candidate positions come from matching each needle's first eight bytes
-    against a sliding 64-bit window, then every candidate is verified
-    byte-for-byte, so the result is exact (needles must be >= 8 bytes).
-    """
-    by_key = {}
-    for needle in needles:
-        assert len(needle) >= 8
-        by_key.setdefault(int.from_bytes(needle[:8], "big"),
-                          []).append(needle)
-    keys = np.fromiter(sorted(by_key), dtype=np.uint64, count=len(by_key))
-    data = np.frombuffer(haystack, dtype=np.uint8)
-    found = set()
-    step = 1 << 25
-    for start in range(0, len(data), step):
-        chunk = data[start:start + step + 7].astype(np.uint64)
-        if chunk.size < 8:
-            break
-        width = chunk.size - 7
-        windows = np.zeros(width, dtype=np.uint64)
-        for k in range(8):
-            windows |= chunk[k:width + k] << np.uint64(8 * (7 - k))
-        slot = np.searchsorted(keys, windows)
-        slot[slot == keys.size] = 0
-        for off in np.flatnonzero(keys[slot] == windows):
-            pos = start + int(off)
-            for needle in by_key[int(windows[off])]:
-                if haystack[pos:pos + len(needle)] == needle:
-                    found.add(needle)
-    return found
-
-
 def test_criterion_09_end_to_end_protocol(acceptance_report):
     start = time.perf_counter()
     sim = protocol.Simulation(seed=909)
@@ -339,9 +305,9 @@ def test_criterion_09_end_to_end_protocol(acceptance_report):
                 needles.append(y)
     # positive control: a planted needle must be reported before the real
     # scan's zero can be believed
-    planted = _leaked_needles(cloud[:1 << 20] + needles[0], needles)
+    planted = leaked_needles(cloud[:1 << 20] + needles[0], needles)
     assert needles[0] in planted
-    leaked = len(_leaked_needles(cloud, needles))
+    leaked = len(leaked_needles(cloud, needles))
 
     attack = sim.adversary_scenarios(stored[0][0])
 
