@@ -16,16 +16,24 @@ its own command, and appends it. The journal's first line pins the
 world's seed, prime, RSA size and precision. The first `share` writes it
 from its flags, and Simulation's defaults for any left out; a later
 `share` refuses a flag that differs from it, and `access` and `revoke`
-take none of these flags. State on disk is therefore the command history
-plus the cloud-visible artifacts (blobs). The output directory is not
-what the cloud would hold: each `share` record keeps the shared file's
-plaintext as `data_hex`, so the journal must stay with the owner.
+take none of these flags. State on disk is therefore the command history,
+the cloud-visible artifacts (blobs) and keys.json, which maps each
+registered user id to the primes and public exponent of their RSA
+keypair, so that replay takes each key as it stands instead of searching
+for its primes again. A command that journals anything rewrites keys.json
+(temp file, then rename; mode 0600) when a registered user has no entry
+in it, which covers a new registration and a vault written before the
+file existed. It adds no secret: every key derives from the seed in the
+journal's header and the user id. The output directory is not what the
+cloud would hold: each `share` record keeps the shared file's plaintext
+as `data_hex`, so the directory must stay with the owner.
 """
 
 import argparse
 import json
 import os
 import sys
+import tempfile
 import time
 
 from . import fbsc, prng, protocol, rsacrt
@@ -158,6 +166,7 @@ def _cmd_decrypt(args):
 # -- the journal-backed vault ------------------------------------------------
 
 _JOURNAL = "vault.jsonl"
+_KEYS = "keys.json"
 
 # the parameters a vault pins: journal header key, which is also the flag
 # name, -> the Simulation argument it sets
@@ -165,8 +174,54 @@ _PINNED = {"seed": "seed", "prime": "p", "rsa_bits": "rsa_bits",
            "precision": "precision"}
 
 
+def _read_keys(path):
+    """keys.json as {user id: RsaKeyPair}."""
+    try:
+        entries = json.loads(_read_text(path, "key store"))
+    except ValueError as exc:  # JSONDecodeError, or an over-long integer
+        raise ValidationError(f"{path!r} is not JSON: {exc}") from None
+    if not isinstance(entries, dict):
+        raise ValidationError(f"{path!r} is not a JSON object")
+    keypairs = {}
+    for uid, entry in entries.items():
+        if not isinstance(entry, dict) or \
+                any(type(entry.get(k)) is not int for k in ("p", "q", "e")):
+            raise ValidationError(f"{path!r}: the key of {uid!r} needs "
+                                  "integer fields p, q and e")
+        try:
+            kp = rsacrt.make_keypair(entry["p"], entry["q"], entry["e"])
+        except ValidationError as exc:
+            raise ValidationError(f"{path!r}: the key of {uid!r}: {exc}"
+                                  ) from None
+        # one base-2 Fermat test per prime: a damaged prime is refused
+        # here, not found later by a wrong unwrap that the journal would
+        # record as a denial
+        if pow(2, kp.p - 1, kp.p) != 1 or pow(2, kp.q - 1, kp.q) != 1:
+            raise ValidationError(f"{path!r}: the key of {uid!r}: p or q "
+                                  "is not prime")
+        keypairs[uid] = kp
+    return keypairs
+
+
+def _write_keys(out, sim):
+    """Write every registered user's keypair to keys.json, atomically."""
+    entries = {uid: {"p": st["rsa"].p, "q": st["rsa"].q, "e": st["rsa"].e}
+               for uid, st in sim.user_state.items()}
+    fd, tmp = tempfile.mkstemp(dir=out, prefix=".keys-")  # mode 0600
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            json.dump(entries, fh, sort_keys=True)
+            fh.write("\n")
+        os.replace(tmp, os.path.join(out, _KEYS))
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def _load_vault(out, **given):
-    """Replay the journal in `out` into a fresh world; returns (sim, records).
+    """Replay the journal in `out` into a fresh world whose users take
+    their keys from keys.json; returns (sim, records, ids of the users
+    keys.json holds).
 
     `given` maps header keys to flag values, None where a flag was left
     out. A new vault's world takes the given ones, and Simulation's
@@ -178,9 +233,11 @@ def _load_vault(out, **given):
             records = [json.loads(line) for line in
                        _read_text(path, "journal").splitlines()
                        if line.strip()]
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or an over-long integer
             raise ValidationError(f"{path!r} holds a line that is not "
                                   f"JSON: {exc}") from None
+    keys_path = os.path.join(out, _KEYS)
+    keypairs = _read_keys(keys_path) if os.path.exists(keys_path) else {}
     given = {k: v for k, v in given.items() if v is not None}
     if records:
         header = records[0]
@@ -193,23 +250,33 @@ def _load_vault(out, **given):
                     f"--{k.replace('_', '-')} {v} conflicts with the "
                     f"journal's {header[k]}; the vault pins its parameters")
         given = {k: header[k] for k in _PINNED}
-    sim = protocol.Simulation(**{_PINNED[k]: v for k, v in given.items()})
+    sim = protocol.Simulation(**{_PINNED[k]: v for k, v in given.items()},
+                              keypairs=keypairs)
     outcomes = protocol.replay_commands(sim, records[1:])
     bad = [o for o in outcomes if not o["ok"]]
     if bad:
         raise ValidationError(f"journal replay diverged at step {bad[0]}")
-    return sim, records
+    stray = sorted(set(keypairs) - set(sim.user_state))
+    if stray:
+        raise ValidationError(f"{keys_path!r} holds a key for {stray[0]!r}, "
+                              "whom the journal never registers")
+    return sim, records, set(keypairs)
 
 
-def _append_vault(args, sim, records, new_records):
+def _append_vault(args, sim, records, keyed, new_records):
     """Append new_records to the journal, headed by the world's pinned
-    parameters when the vault is new."""
+    parameters when the vault is new; then rewrite keys.json if a
+    registered user is not among `keyed`, the users it held."""
     if not records:
         header = {k: getattr(sim, attr) for k, attr in _PINNED.items()}
         new_records = [{"cmd": "_config", **header}, *new_records]
     with open(os.path.join(args.out, _JOURNAL), "a", encoding="utf-8") as fh:
         for rec in new_records:
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
+    # after the journal, so that a failure in between leaves no key for a
+    # user the journal does not register
+    if sim.user_state.keys() - keyed:
+        _write_keys(args.out, sim)
 
 
 def _write_cloud_blob(args, sim, file_id):
@@ -221,9 +288,10 @@ def _write_cloud_blob(args, sim, file_id):
 
 def _cmd_share(args):
     _ensure_out(args)
-    sim, records = _load_vault(args.out, seed=args.seed, prime=args.prime,
-                               rsa_bits=args.rsa_bits,
-                               precision=args.precision)
+    sim, records, keyed = _load_vault(args.out, seed=args.seed,
+                                      prime=args.prime,
+                                      rsa_bits=args.rsa_bits,
+                                      precision=args.precision)
     with open(args.file, "rb") as fh:
         data = fh.read()
     file_id = os.path.basename(args.file)
@@ -246,7 +314,7 @@ def _cmd_share(args):
                                      file_name=file_id)
     new.append({"cmd": "store", "owner": args.owner, "file": file_id,
                 "sharers": users, "data_hex": data.hex()})
-    _append_vault(args, sim, records, new)
+    _append_vault(args, sim, records, keyed, new)
     blobpath = _write_cloud_blob(args, sim, fid)
     holders = ", ".join(f"{h}:x={x}" for h, x in sorted(assignment.items(),
                                                         key=lambda kv: kv[1]))
@@ -257,7 +325,7 @@ def _cmd_share(args):
 
 def _cmd_access(args):
     _ensure_out(args)
-    sim, records = _load_vault(args.out)
+    sim, records, keyed = _load_vault(args.out)
     approve = not args.deny_approval
     rec = {"cmd": "access", "user": args.user, "file": args.file,
            "owner_approves": approve}
@@ -266,10 +334,10 @@ def _cmd_access(args):
                                   owner_approves=approve)
     except protocol.DENIALS:
         rec["expect"] = "deny"
-        _append_vault(args, sim, records, [rec])
+        _append_vault(args, sim, records, keyed, [rec])
         raise
     rec["expect"] = "grant"
-    _append_vault(args, sim, records, [rec])
+    _append_vault(args, sim, records, keyed, [rec])
     outpath = os.path.join(args.out, args.file + ".plain")
     with open(outpath, "wb") as fh:
         fh.write(data)
@@ -279,13 +347,13 @@ def _cmd_access(args):
 
 def _cmd_revoke(args):
     _ensure_out(args)
-    sim, records = _load_vault(args.out)
+    sim, records, keyed = _load_vault(args.out)
     entry = sim.policy_db.get_policy(args.file)
     if args.user not in entry.authorized_user_ids:
         raise ValidationError(f"{args.user!r} is not a current sharer of "
                               f"{args.file!r}; nothing to revoke")
     issued = sim.revoke_and_reencrypt(entry.owner_id, args.file, args.user)
-    _append_vault(args, sim, records,
+    _append_vault(args, sim, records, keyed,
                   [{"cmd": "revoke", "owner": entry.owner_id,
                     "file": args.file, "user": args.user}])
     blobpath = _write_cloud_blob(args, sim, args.file)

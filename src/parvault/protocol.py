@@ -29,6 +29,7 @@ policy_db.snapshot(), taken when the cloud state is serialized; that
 serialized state is the surface the blindness byte-scan audits.
 """
 
+import functools
 import json
 import random
 from dataclasses import dataclass
@@ -95,16 +96,32 @@ class MessageBus:
         return digest64_text("\n".join(self.trace_lines()))
 
 
+@functools.lru_cache(maxsize=8)
+def _is_field_prime(p):
+    # p comes from the user, so the check takes the worst-case 64 rounds;
+    # the fixed-seed rng keeps it deterministic, so one answer per p holds
+    return rsacrt.is_probable_prime(p, rng=random.Random(p))
+
+
 class Simulation:
-    """One deterministic world: registry, participants, bus, cloud."""
+    """One deterministic world: registry, participants, bus, cloud.
+
+    keypairs maps user ids to RSA keypairs that register takes instead of
+    deriving them from (seed, user id); a caller that kept the keys of an
+    earlier run of the same world passes them to skip the prime search.
+    """
 
     def __init__(self, seed=2024, p=secretshare.DEFAULT_PRIME, rsa_bits=512,
                  precision=fbsc.DEFAULT_PRECISION,
-                 pk_bits=fbsc.DEFAULT_PK_BITS, key_power=None):
-        # p comes from the user, so the check takes the worst-case 64
-        # rounds; the fixed-seed rng keeps it deterministic
-        if not rsacrt.is_probable_prime(p, rng=random.Random(p)):
+                 pk_bits=fbsc.DEFAULT_PK_BITS, key_power=None, keypairs=None):
+        if not _is_field_prime(p):
             raise ValidationError(f"field prime {p} is not prime")
+        self._given_keypairs = dict(keypairs or {})
+        for uid, kp in self._given_keypairs.items():
+            if kp.n.bit_length() != rsa_bits:
+                raise ValidationError(
+                    f"the keypair given for {uid!r} has a "
+                    f"{kp.n.bit_length()}-bit modulus, not {rsa_bits}")
         self.base_config = prng.DEFAULT_CONFIG.reseeded(seed)
         self.seed = seed
         self.p = p
@@ -135,12 +152,16 @@ class Simulation:
     # -- registration --------------------------------------------------------
 
     def register(self, user_id, credentials, user_type="user"):
-        """Add a participant: registry row plus a personal RSA keypair."""
+        """Add a participant: registry row plus a personal RSA keypair,
+        the one given for user_id at construction or else one derived from
+        (seed, user_id)."""
         record = acl.UserRecord(user_id=user_id, user_type=user_type,
                                 credentials=list(credentials))
         self.policy_db.register_user(record)
-        rsa_seed = digest64_ints(self.seed, digest64_text(user_id))
-        keypair = rsacrt.keygen(self.rsa_bits, seed=rsa_seed)
+        keypair = self._given_keypairs.get(user_id)
+        if keypair is None:
+            rsa_seed = digest64_ints(self.seed, digest64_text(user_id))
+            keypair = rsacrt.keygen(self.rsa_bits, seed=rsa_seed)
         self.user_state[user_id] = {"rsa": keypair, "points": {}}
         return user_id
 

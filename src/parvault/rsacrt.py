@@ -164,6 +164,8 @@ def make_keypair(p, q, e=None):
     """Assemble a keypair from known primes, choosing e if not given."""
     if p == q:
         raise ValidationError("p and q must differ")
+    if min(p, q) < 3 or math.gcd(p, q) != 1:
+        raise ValidationError("p and q must be coprime and above 2")
     lam = math.lcm(p - 1, q - 1)
     if e is None:
         e = next((c for c in _E_CANDIDATES if c < lam and math.gcd(c, lam) == 1),

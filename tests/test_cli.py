@@ -4,6 +4,7 @@ import json
 import os
 import re
 import shutil
+import stat
 import subprocess
 import sys
 from importlib.metadata import EntryPoint
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 import parvault
-from parvault import fbsc, secretshare, statsuite
+from parvault import fbsc, rsacrt, secretshare, statsuite
 from parvault.cli import linear_fit, main
 
 SECRET = b"the commissioning report, not for the cloud\n" + bytes(range(200))
@@ -171,6 +172,81 @@ def journal_data_not_hex(tmp_path):
     return _vault_with_record(tmp_path, record), "'data_hex' is not hex"
 
 
+def journal_integer_too_long(tmp_path):
+    vault = _shared_vault(tmp_path)
+    with (vault / "vault.jsonl").open("a") as fh:
+        fh.write('{"cmd": "tick", "size": ' + "9" * 5000 + '}\n')
+    return (["access", "doc.bin", "--out", vault, "--user", "rena"],
+            "not JSON")
+
+
+def _vault_with_keys(tmp_path, edit):
+    """A shared vault whose keys.json is passed through edit, which takes
+    the parsed file and returns the new text or object."""
+    vault = _shared_vault(tmp_path)
+    keys = vault / "keys.json"
+    new = edit(json.loads(keys.read_text()))
+    keys.write_text(new if isinstance(new, str) else json.dumps(new))
+    return ["access", "doc.bin", "--out", vault, "--user", "rena"]
+
+
+def _with_key(user, **fields):
+    def edit(keys):
+        keys[user] = {**keys.get(user, keys["rena"]), **fields}
+        return keys
+    return edit
+
+
+def keys_not_json(tmp_path):
+    return _vault_with_keys(tmp_path, lambda k: "{not json"), "is not JSON"
+
+
+def keys_not_an_object(tmp_path):
+    return (_vault_with_keys(tmp_path, lambda k: [1]),
+            "keys.json' is not a JSON object")
+
+
+def key_without_q(tmp_path):
+    def edit(keys):
+        del keys["rena"]["q"]
+        return keys
+    return (_vault_with_keys(tmp_path, edit),
+            "the key of 'rena' needs integer fields p, q and e")
+
+
+def key_with_a_text_e(tmp_path):
+    return (_vault_with_keys(tmp_path, _with_key("rena", e="65537")),
+            "the key of 'rena' needs integer fields p, q and e")
+
+
+def key_with_p_equal_to_q(tmp_path):
+    def edit(keys):
+        keys["rena"]["q"] = keys["rena"]["p"]
+        return keys
+    return (_vault_with_keys(tmp_path, edit),
+            "the key of 'rena': p and q must differ")
+
+
+def key_with_a_composite_p(tmp_path):
+    def edit(keys):
+        keys["rena"]["p"] *= 9
+        return keys
+    return (_vault_with_keys(tmp_path, edit),
+            "the key of 'rena': p or q is not prime")
+
+
+def key_of_the_wrong_width(tmp_path):
+    small = rsacrt.keygen(64, seed=1)
+    return (_vault_with_keys(tmp_path, _with_key("rena", p=small.p,
+                                                 q=small.q, e=small.e)),
+            "the keypair given for 'rena' has a 64-bit modulus, not 512")
+
+
+def key_for_an_unregistered_user(tmp_path):
+    return (_vault_with_keys(tmp_path, _with_key("zed")),
+            "holds a key for 'zed', whom the journal never registers")
+
+
 def script_not_json(tmp_path):
     script = tmp_path / "s.jsonl"
     script.write_text("register olive\n")
@@ -246,7 +322,10 @@ def pgm_of_negative_size(tmp_path):
     key_file_with_a_word, journal_line_not_json,
     journal_record_without_a_field, journal_record_not_an_object,
     journal_field_of_the_wrong_type, journal_data_not_hex,
-    journal_header_not_an_object, script_not_json, key_file_not_utf8,
+    journal_header_not_an_object, journal_integer_too_long, keys_not_json,
+    keys_not_an_object, key_without_q, key_with_a_text_e,
+    key_with_p_equal_to_q, key_with_a_composite_p, key_of_the_wrong_width,
+    key_for_an_unregistered_user, script_not_json, key_file_not_utf8,
     script_not_utf8, journal_not_utf8,
     element_one_digit_short, element_one_digit_extra,
     element_last_digit_changed, key_file_with_a_wide_base,
@@ -309,6 +388,58 @@ def test_vault_share_access_revoke_flow(tmp_path, capsys):
                 (vault / "vault.jsonl").read_text().splitlines()]
     expects = [r.get("expect") for r in replayed if r["cmd"] == "access"]
     assert expects == ["grant", "deny", "deny", "grant"]
+
+
+def _vault_outputs(vault):
+    return {p.name: p.read_bytes() for p in sorted(vault.iterdir())
+            if p.suffix in (".blob", ".plain", ".jsonl", ".json")}
+
+
+def test_stored_keys_change_no_output(tmp_path):
+    doc = tmp_path / "doc.bin"
+    doc.write_bytes(SECRET)
+    commands = [("share", doc, "--owner", "olive", "--users", "rena,sam"),
+                ("access", "doc.bin", "--user", "rena"),
+                ("revoke", "doc.bin", "--user", "sam"),
+                ("access", "doc.bin", "--user", "sam"),
+                ("access", "doc.bin", "--user", "rena")]
+    kept, derived = tmp_path / "kept", tmp_path / "derived"
+    codes = {kept: [], derived: []}
+    for argv in commands:
+        for vault in (kept, derived):
+            if vault == derived and (vault / "keys.json").exists():
+                (vault / "keys.json").unlink()  # every key derived again
+            codes[vault].append(run(*argv, "--out", vault))
+    assert codes[kept] == codes[derived] == [0, 0, 0, 1, 0]
+    outputs = _vault_outputs(kept)
+    assert set(outputs) == {"doc.bin.blob", "doc.bin.plain", "vault.jsonl",
+                            "keys.json"}
+    assert outputs == _vault_outputs(derived)
+
+
+def test_vault_access_takes_its_keys_from_the_key_store(tmp_path,
+                                                        monkeypatch):
+    vault = _shared_vault(tmp_path)
+
+    def keygen(*args, **kwargs):
+        raise AssertionError("rsacrt.keygen ran")
+    monkeypatch.setattr(rsacrt, "keygen", keygen)
+    assert run("access", "doc.bin", "--out", vault, "--user", "rena") == 0
+    assert (vault / "doc.bin.plain").read_bytes() == SECRET
+
+
+def test_vault_without_a_key_store_gains_one(tmp_path):
+    vault = _shared_vault(tmp_path)
+    keys = vault / "keys.json"
+    assert stat.S_IMODE(keys.stat().st_mode) == 0o600
+    written = keys.read_bytes()
+    assert set(json.loads(written)) == {"olive", "rena", "sam"}
+    keys.unlink()  # a vault from before the key store
+    assert run("access", "doc.bin", "--out", vault, "--user", "rena") == 0
+    assert (vault / "doc.bin.plain").read_bytes() == SECRET
+    assert keys.read_bytes() == written
+    assert stat.S_IMODE(keys.stat().st_mode) == 0o600
+    assert [p.name for p in vault.iterdir() if p.name.startswith(".")] == []
 
 
 def test_vault_rejects_conflicting_parameters(tmp_path, capsys):

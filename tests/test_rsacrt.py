@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from parvault import rsacrt
 from parvault.digests import digest64_ints, digest64_text
-from parvault.errors import ParvaultError
+from parvault.errors import ParvaultError, ValidationError
 
 
 def toy_pair():
@@ -31,6 +31,14 @@ def test_toy_crt_components():
     assert kp.d_q == 7 % 10
     assert kp.q_inv == pow(11, -1, 5)
     assert kp.p_inv == pow(5, -1, 11)
+
+
+@pytest.mark.parametrize("p, q", [(0, 7), (1, 7), (-5, 11), (15, 25),
+                                  (11, 33)])
+def test_make_keypair_refuses_primes_that_cannot_form_a_key(p, q):
+    with pytest.raises(ValidationError,
+                       match="p and q must be coprime and above 2"):
+        rsacrt.make_keypair(p, q, e=3)
 
 
 def test_keygen_exact_width_and_identity():
