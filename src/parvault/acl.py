@@ -9,8 +9,8 @@ sets and the epoch, and the protocol layer re-keys the file itself.
 
 The store lives in memory and keeps no history of its own: a world is
 rebuilt by replaying commands through the protocol layer (the CLI keeps
-them in its vault journal), and snapshot() gives the JSON view the cloud
-backs up.
+them in its vault journal), or restored from the snapshot in a protocol
+checkpoint, and snapshot() gives the JSON view the cloud backs up.
 
 Storage-overhead accounting lives here too: a user carries their m
 credentials plus one share point (m+1 parameters), the server carries the

@@ -11,30 +11,49 @@ analyze and bench commands, so the others start without it.
 
 The vault model deserves a note. A journal (vault.jsonl in the output
 directory) records every command as one JSON line; each invocation
-rebuilds the whole deterministic world by replaying the journal, applies
-its own command, and appends it. The journal's first line pins the
-world's seed, prime, RSA size and precision. The first `share` writes it
-from its flags, and Simulation's defaults for any left out; a later
-`share` refuses a flag that differs from it, and `access` and `revoke`
-take none of these flags. State on disk is therefore the command history,
-the cloud-visible artifacts (blobs) and keys.json, which maps each
-registered user id to the primes and public exponent of their RSA
-keypair, so that replay takes each key as it stands instead of searching
-for its primes again. A command that journals anything rewrites keys.json
-(temp file, then rename; mode 0600) when a registered user has no entry
-in it, which covers a new registration and a vault written before the
-file existed. It adds no secret: every key derives from the seed in the
-journal's header and the user id. The output directory is not what the
-cloud would hold: each `share` record keeps the shared file's plaintext
-as `data_hex`, so the directory must stay with the owner.
+takes the deterministic world the journal describes, applies its own
+command, and appends it. The journal's first line pins the world's seed,
+prime, RSA size and precision. The first `share` writes it from its
+flags, and Simulation's defaults for any left out; a later `share`
+refuses a flag that differs from it, and `access` and `revoke` take none
+of these flags. Beside the journal and the cloud-visible blobs, two files
+are derived from it:
+
+- keys.json maps each registered user id to the primes and public
+  exponent of their RSA keypair, so that no command searches for a
+  user's primes again. A command that journals anything rewrites it when
+  a registered user has no entry in it, which covers a new registration
+  and a vault written before the file existed.
+- checkpoint.json holds the world that replaying the journal would build,
+  minus the blobs (Simulation.world_state(): registry and policies, each
+  user's points, the server's per-file bookkeeping), with the SHA-256 of
+  the journal and keys.json it was derived from and of each file's blob.
+  Every journaling command rewrites it. A command restores the world
+  from it when both digests match the files on disk and, for `access`
+  and `revoke`, the file's blob matches its digest; only then is that
+  one blob read. Any other case replays the whole journal, as a vault
+  without the file does. It is keyed on content, so a copied vault keeps
+  it. The message bus is not kept: no vault command reads a trace.
+
+Both are written with a temp file and a rename, mode 0600, and neither
+adds a secret: every key derives from the seed in the journal's header
+and the user id, and the checkpoint from the journal and the keys. A
+malformed one is refused with one error line. The output directory is not
+what the cloud would hold: each `share` record keeps the shared file's
+plaintext as `data_hex`, because a replay needs it, so the directory must
+stay with the owner.
 """
 
 import argparse
+import functools
+import hashlib
 import json
 import os
+import re
 import sys
 import tempfile
 import time
+from dataclasses import dataclass, field
 
 from . import fbsc, prng, protocol, rsacrt
 from .digests import digest64_ints, digest64_text
@@ -76,13 +95,26 @@ def _write_keyfile(path, key, stream_seed):
         fh.write(f"stream_seed = {stream_seed}\n")
 
 
+def _decode(raw, path, what):
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{what} {path!r} is not UTF-8 text: "
+                              f"{exc}") from None
+
+
 def _read_text(path, what):
-    with open(path, encoding="utf-8") as fh:
-        try:
+    with open(path, "rb") as fh:
+        return _decode(fh.read(), path, what)
+
+
+def _read_file(path):
+    """The bytes of path, or None when there is no such file."""
+    try:
+        with open(path, "rb") as fh:
             return fh.read()
-        except UnicodeDecodeError as exc:
-            raise ValidationError(f"{what} {path!r} is not UTF-8 text: "
-                                  f"{exc}") from None
+    except FileNotFoundError:
+        return None
 
 
 def _read_keyfile(path):
@@ -167,23 +199,35 @@ def _cmd_decrypt(args):
 
 _JOURNAL = "vault.jsonl"
 _KEYS = "keys.json"
+_CHECKPOINT = "checkpoint.json"
 
 # the parameters a vault pins: journal header key, which is also the flag
 # name, -> the Simulation argument it sets
 _PINNED = {"seed": "seed", "prime": "p", "rsa_bits": "rsa_bits",
            "precision": "precision"}
 
+_SHA256_HEX = re.compile(r"[0-9a-f]{64}")
 
-def _read_keys(path):
-    """keys.json as {user id: RsaKeyPair}."""
+
+def _sha256(raw):
+    return hashlib.sha256(raw).hexdigest()
+
+
+def _json_object(raw, path, what):
+    """raw, the UTF-8 JSON text of one object, parsed."""
     try:
-        entries = json.loads(_read_text(path, "key store"))
+        obj = json.loads(_decode(raw, path, what))
     except ValueError as exc:  # JSONDecodeError, or an over-long integer
         raise ValidationError(f"{path!r} is not JSON: {exc}") from None
-    if not isinstance(entries, dict):
+    if not isinstance(obj, dict):
         raise ValidationError(f"{path!r} is not a JSON object")
+    return obj
+
+
+def _read_keys(raw, path):
+    """keys.json, whose bytes are raw, as {user id: RsaKeyPair}."""
     keypairs = {}
-    for uid, entry in entries.items():
+    for uid, entry in _json_object(raw, path, "key store").items():
         if not isinstance(entry, dict) or \
                 any(type(entry.get(k)) is not int for k in ("p", "q", "e")):
             raise ValidationError(f"{path!r}: the key of {uid!r} needs "
@@ -203,44 +247,64 @@ def _read_keys(path):
     return keypairs
 
 
-def _write_keys(out, sim):
-    """Write every registered user's keypair to keys.json, atomically."""
-    entries = {uid: {"p": st["rsa"].p, "q": st["rsa"].q, "e": st["rsa"].e}
-               for uid, st in sim.user_state.items()}
-    fd, tmp = tempfile.mkstemp(dir=out, prefix=".keys-")  # mode 0600
+def _write_private(out, name, obj):
+    """Write obj as JSON to out/name, atomically and mode 0600; returns
+    the SHA-256 of the bytes written."""
+    raw = (json.dumps(obj, sort_keys=True) + "\n").encode()
+    fd, tmp = tempfile.mkstemp(dir=out, prefix=".vault-")  # mode 0600
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(entries, fh, sort_keys=True)
-            fh.write("\n")
-        os.replace(tmp, os.path.join(out, _KEYS))
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(raw)
+        os.replace(tmp, os.path.join(out, name))
     except BaseException:
         os.unlink(tmp)
         raise
+    return _sha256(raw)
 
 
-def _load_vault(out, **given):
-    """Replay the journal in `out` into a fresh world whose users take
-    their keys from keys.json; returns (sim, records, ids of the users
-    keys.json holds).
+@dataclass
+class _Vault:
+    """The vault in `out` as one command loaded it."""
+
+    out: str
+    sim: protocol.Simulation
+    header: dict  # the journal's first line; None for a new vault
+    keyed: set  # the users keys.json holds
+    journal_hash: object  # hashlib SHA-256 over the journal's bytes
+    keys_sha: str  # SHA-256 of keys.json; None when there is none
+    blob_sha: dict = field(default_factory=dict)  # file id -> blob SHA-256
+    read_blobs: dict = field(default_factory=dict)  # file id -> bytes read
+
+
+def _journal_records(lines, path):
+    try:
+        return [json.loads(line) for line in lines]
+    except ValueError as exc:  # JSONDecodeError, or an over-long integer
+        raise ValidationError(f"{path!r} holds a line that is not "
+                              f"JSON: {exc}") from None
+
+
+def _load_vault(out, file=None, **given):
+    """The vault in `out`: its world restored from checkpoint.json when the
+    checkpoint was written from the journal and keys.json on disk (and,
+    for a command on `file`, from that file's blob on disk), else rebuilt
+    by replaying the journal with each user's key from keys.json.
 
     `given` maps header keys to flag values, None where a flag was left
     out. A new vault's world takes the given ones, and Simulation's
     defaults for the rest; an existing vault refuses any that differs."""
     path = os.path.join(out, _JOURNAL)
-    records = []
-    if os.path.exists(path):
-        try:
-            records = [json.loads(line) for line in
-                       _read_text(path, "journal").splitlines()
-                       if line.strip()]
-        except ValueError as exc:  # JSONDecodeError, or an over-long integer
-            raise ValidationError(f"{path!r} holds a line that is not "
-                                  f"JSON: {exc}") from None
+    raw = _read_file(path) or b""
+    lines = [ln for ln in _decode(raw, path, "journal").splitlines()
+             if ln.strip()]
+    # a restored world needs the header alone
+    header = _journal_records(lines[:1], path)[0] if lines else None
     keys_path = os.path.join(out, _KEYS)
-    keypairs = _read_keys(keys_path) if os.path.exists(keys_path) else {}
+    keys_raw = _read_file(keys_path)
+    keypairs = _read_keys(keys_raw, keys_path) if keys_raw is not None \
+        else {}
     given = {k: v for k, v in given.items() if v is not None}
-    if records:
-        header = records[0]
+    if header is not None:
         if not isinstance(header, dict) or header.get("cmd") != "_config" \
                 or any(type(header.get(k)) is not int for k in _PINNED):
             raise ValidationError(f"{path!r} lacks the _config header line")
@@ -252,31 +316,89 @@ def _load_vault(out, **given):
         given = {k: header[k] for k in _PINNED}
     sim = protocol.Simulation(**{_PINNED[k]: v for k, v in given.items()},
                               keypairs=keypairs)
-    outcomes = protocol.replay_commands(sim, records[1:])
-    bad = [o for o in outcomes if not o["ok"]]
-    if bad:
-        raise ValidationError(f"journal replay diverged at step {bad[0]}")
-    stray = sorted(set(keypairs) - set(sim.user_state))
+    vault = _Vault(out, sim, header, set(keypairs), hashlib.sha256(raw),
+                   None if keys_raw is None else _sha256(keys_raw))
+    if not _restore_checkpoint(vault, file):
+        outcomes = protocol.replay_commands(
+            sim, _journal_records(lines[1:], path))
+        bad = [o for o in outcomes if not o["ok"]]
+        if bad:
+            raise ValidationError(f"journal replay diverged at step {bad[0]}")
+    stray = sorted(vault.keyed - set(sim.user_state))
     if stray:
         raise ValidationError(f"{keys_path!r} holds a key for {stray[0]!r}, "
                               "whom the journal never registers")
-    return sim, records, set(keypairs)
+    return vault
 
 
-def _append_vault(args, sim, records, keyed, new_records):
+def _restore_checkpoint(vault, file):
+    """Restore vault.sim from checkpoint.json if it matches the files on
+    disk; returns whether it did. A malformed checkpoint is refused, a
+    stale one is passed over."""
+    path = os.path.join(vault.out, _CHECKPOINT)
+    raw = _read_file(path)
+    if raw is None:
+        return False
+    cp = _json_object(raw, path, "checkpoint")
+    blob_sha = cp.get("blob_sha256")
+    if not isinstance(blob_sha, dict) or not all(
+            type(d) is str and _SHA256_HEX.fullmatch(d)
+            for d in [cp.get("journal_sha256"), cp.get("keys_sha256"),
+                      *blob_sha.values()]):
+        raise ValidationError(f"{path!r}: every digest must be 64 "
+                              "lower-case hex digits")
+    if (cp["journal_sha256"], cp["keys_sha256"]) != \
+            (vault.journal_hash.hexdigest(), vault.keys_sha):
+        return False
+    blobs = {}
+    if file is not None:
+        if file not in blob_sha:
+            return False
+        try:
+            with open(os.path.join(vault.out, file + ".blob"), "rb") as fh:
+                blobs[file] = fh.read()
+        except OSError:
+            return False
+        if _sha256(blobs[file]) != blob_sha[file]:
+            return False
+    try:
+        vault.sim.restore_world(cp.get("world"), blobs)
+    except ParvaultError as exc:
+        raise ValidationError(f"{path!r}: {exc}") from None
+    vault.blob_sha, vault.read_blobs = blob_sha, blobs
+    return True
+
+
+def _append_vault(vault, new_records):
     """Append new_records to the journal, headed by the world's pinned
-    parameters when the vault is new; then rewrite keys.json if a
-    registered user is not among `keyed`, the users it held."""
-    if not records:
+    parameters when the vault is new; rewrite keys.json if a registered
+    user is not among those it held; then write the checkpoint of the
+    world as it now stands."""
+    sim = vault.sim
+    if vault.header is None:
         header = {k: getattr(sim, attr) for k, attr in _PINNED.items()}
         new_records = [{"cmd": "_config", **header}, *new_records]
-    with open(os.path.join(args.out, _JOURNAL), "a", encoding="utf-8") as fh:
-        for rec in new_records:
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
+    raw = "".join(json.dumps(rec, sort_keys=True) + "\n"
+                  for rec in new_records).encode()
+    with open(os.path.join(vault.out, _JOURNAL), "ab") as fh:
+        fh.write(raw)
+    vault.journal_hash.update(raw)
     # after the journal, so that a failure in between leaves no key for a
     # user the journal does not register
-    if sim.user_state.keys() - keyed:
-        _write_keys(args.out, sim)
+    if sim.user_state.keys() - vault.keyed:
+        vault.keys_sha = _write_private(
+            vault.out, _KEYS,
+            {uid: {"p": st["rsa"].p, "q": st["rsa"].q, "e": st["rsa"].e}
+             for uid, st in sim.user_state.items()})
+    # a blob read from disk is hashed again only if the command replaced it
+    for fid, blob in sim.cloud_blobs.items():
+        if blob is not vault.read_blobs.get(fid):
+            vault.blob_sha[fid] = _sha256(blob)
+    _write_private(vault.out, _CHECKPOINT,
+                   {"journal_sha256": vault.journal_hash.hexdigest(),
+                    "keys_sha256": vault.keys_sha,
+                    "blob_sha256": vault.blob_sha,
+                    "world": sim.world_state()})
 
 
 def _write_cloud_blob(args, sim, file_id):
@@ -288,10 +410,9 @@ def _write_cloud_blob(args, sim, file_id):
 
 def _cmd_share(args):
     _ensure_out(args)
-    sim, records, keyed = _load_vault(args.out, seed=args.seed,
-                                      prime=args.prime,
-                                      rsa_bits=args.rsa_bits,
-                                      precision=args.precision)
+    vault = _load_vault(args.out, seed=args.seed, prime=args.prime,
+                        rsa_bits=args.rsa_bits, precision=args.precision)
+    sim = vault.sim
     with open(args.file, "rb") as fh:
         data = fh.read()
     file_id = os.path.basename(args.file)
@@ -314,7 +435,7 @@ def _cmd_share(args):
                                      file_name=file_id)
     new.append({"cmd": "store", "owner": args.owner, "file": file_id,
                 "sharers": users, "data_hex": data.hex()})
-    _append_vault(args, sim, records, keyed, new)
+    _append_vault(vault, new)
     blobpath = _write_cloud_blob(args, sim, fid)
     holders = ", ".join(f"{h}:x={x}" for h, x in sorted(assignment.items(),
                                                         key=lambda kv: kv[1]))
@@ -325,19 +446,19 @@ def _cmd_share(args):
 
 def _cmd_access(args):
     _ensure_out(args)
-    sim, records, keyed = _load_vault(args.out)
+    vault = _load_vault(args.out, args.file)
     approve = not args.deny_approval
     rec = {"cmd": "access", "user": args.user, "file": args.file,
            "owner_approves": approve}
     try:
-        data = sim.request_access(args.user, args.file,
-                                  owner_approves=approve)
+        data = vault.sim.request_access(args.user, args.file,
+                                        owner_approves=approve)
     except protocol.DENIALS:
         rec["expect"] = "deny"
-        _append_vault(args, sim, records, keyed, [rec])
+        _append_vault(vault, [rec])
         raise
     rec["expect"] = "grant"
-    _append_vault(args, sim, records, keyed, [rec])
+    _append_vault(vault, [rec])
     outpath = os.path.join(args.out, args.file + ".plain")
     with open(outpath, "wb") as fh:
         fh.write(data)
@@ -347,15 +468,15 @@ def _cmd_access(args):
 
 def _cmd_revoke(args):
     _ensure_out(args)
-    sim, records, keyed = _load_vault(args.out)
+    vault = _load_vault(args.out, args.file)
+    sim = vault.sim
     entry = sim.policy_db.get_policy(args.file)
     if args.user not in entry.authorized_user_ids:
         raise ValidationError(f"{args.user!r} is not a current sharer of "
                               f"{args.file!r}; nothing to revoke")
     issued = sim.revoke_and_reencrypt(entry.owner_id, args.file, args.user)
-    _append_vault(args, sim, records, keyed,
-                  [{"cmd": "revoke", "owner": entry.owner_id,
-                    "file": args.file, "user": args.user}])
+    _append_vault(vault, [{"cmd": "revoke", "owner": entry.owner_id,
+                           "file": args.file, "user": args.user}])
     blobpath = _write_cloud_blob(args, sim, args.file)
     epoch = sim.server_files[args.file]["key_epoch"]
     print(f"revoked {args.user}; re-encrypted {args.file} at key epoch "
@@ -568,7 +689,10 @@ def _add_common(sub, seed=False):
                      help="output directory (created if missing)")
 
 
+@functools.cache
 def build_parser():
+    """The parser of every subcommand, built once per process; callers
+    only read it."""
     parser = argparse.ArgumentParser(
         prog="parvault",
         description="multiparty-authorized encrypted storage toolkit")

@@ -492,6 +492,84 @@ class Simulation:
         return {"ciphertext_elements": elements,
                 "binding_code": state["binding_code"]}
 
+    # -- checkpoints ---------------------------------------------------------
+
+    def world_state(self):
+        """The state that replaying this world's commands builds, as JSON:
+        the registry and policies (policy_db.snapshot()), each user's
+        points and the server's per-file bookkeeping. The bus, the RSA
+        keys and the blobs are left out."""
+        return {"policies": self.policy_db.snapshot(),
+                "points": {uid: st["points"]
+                           for uid, st in self.user_state.items()},
+                "server_files": self.server_files}
+
+    def restore_world(self, state, blobs):
+        """Make this fresh world the one whose world_state() is `state`,
+        with `blobs` (file id -> blob bytes) as the cloud's blobs. Each
+        user takes their RSA key as register does. A field of the wrong
+        type or range, and a point, wrapped key or reference that no
+        replay would leave, is refused with a ParvaultError."""
+        snap = _field(state, "policies", dict)
+        points = _field(state, "points", dict)
+        files = _field(state, "server_files", dict)
+        for uid, row in _field(snap, "users", dict).items():
+            where = f"user {uid!r}: "
+            self.register(uid, _field(row, "credentials", list, where),
+                          _field(row, "user_type", str, where))
+        for fid, row in _field(snap, "policies", dict).items():
+            where = f"policy {fid!r}: "
+            entry = self.policy_db.create_policy(
+                _field(row, "owner_id", str, where), fid,
+                _field(row, "authorized", list, where))
+            entry.revoked_user_ids = {
+                self.policy_db.get_user(uid).user_id
+                for uid in _field(row, "revoked", list, where)}
+            entry.epoch = _field(row, "epoch", int, where)
+        if points.keys() != self.user_state.keys():
+            raise ValidationError("points must be listed for exactly the "
+                                  "registered users")
+        for uid, held in points.items():
+            for fid, tok in _typed(held, dict, f"the points of {uid!r}"
+                                   ).items():
+                self.user_state[uid]["points"][fid] = self._token(
+                    tok, f"the point of {uid!r} for {fid!r}: ")
+        if files.keys() != self.policy_db.policies.keys():
+            raise ValidationError("server files must be listed for exactly "
+                                  "the files with a policy")
+        for fid, row in files.items():
+            where = f"server file {fid!r}: "
+            entry = self.policy_db.policies[fid]
+            holders = {entry.owner_id} | entry.authorized_user_ids
+            wrapped = _field(row, "wrapped", dict, where)
+            if wrapped.keys() != holders \
+                    or any(type(c) is not int for c in wrapped.values()) \
+                    or any(fid not in self.user_state[uid]["points"]
+                           for uid in holders):
+                raise ValidationError(f"{where}the owner and each authorized "
+                                      "user need a wrapped key and a point")
+            key_epoch = _field(row, "key_epoch", int, where)
+            if not 0 <= key_epoch < _EPOCH_LIMIT:
+                raise ValidationError(f"{where}key epoch {key_epoch} is out "
+                                      "of range")
+            self.server_files[fid] = {
+                "org_token": self._token(_field(row, "org_token", dict, where),
+                                         where),
+                "wrapped": dict(wrapped),
+                "binding_code": _field(row, "binding_code", int, where),
+                "key_epoch": key_epoch}
+        self.cloud_blobs = dict(blobs)
+
+    def _token(self, tok, where):
+        # a point record as secretshare.point_record builds it
+        out = {name: _field(tok, name, kind, where)
+               for name, kind in _TOKEN_FIELDS.items()}
+        if out["p"] != self.p or not (1 <= out["x"] < self.p
+                                      and 0 <= out["y"] < self.p):
+            raise ValidationError(f"{where}x and y must lie in the field of "
+                                  f"p = {self.p}")
+        return out
+
 
 # ---------------------------------------------------------------------------
 # scenario scripts
@@ -559,7 +637,26 @@ _FIELD_TYPES = {"cmd": str, "user_id": str, "credentials": list,
                 "sharers": list, "file": str, "user": str,
                 "owner_approves": bool, "expect": str}
 _TYPE_NAMES = {str: "a string", int: "an integer", bool: "a boolean",
-               list: "a list of strings"}
+               list: "a list of strings", dict: "a JSON object"}
+# the JSON type of each field of a point record
+_TOKEN_FIELDS = {"p": int, "x": int, "y": int, "role": str, "kc": int,
+                 "file_id": str, "epoch": int}
+# a re-key writes key epoch + 1 into the blob header's 4-byte field
+_EPOCH_LIMIT = 2 ** 32 - 1
+
+
+def _typed(value, kind, what):
+    """value, if its JSON type is kind (a bool is no integer, and a list
+    holds strings); else a ValidationError naming what."""
+    if type(value) is not kind or (
+            kind is list and any(type(v) is not str for v in value)):
+        raise ValidationError(f"{what} must be {_TYPE_NAMES[kind]}")
+    return value
+
+
+def _field(obj, name, kind, where=""):
+    value = obj.get(name) if type(obj) is dict else None
+    return _typed(value, kind, f"{where}{name!r}")
 
 
 class _Step(dict):
@@ -570,11 +667,8 @@ class _Step(dict):
             raise ValidationError("command record is not a JSON object")
         super().__init__(record)
         for name, kind in _FIELD_TYPES.items():
-            value = self.get(name, kind())
-            if type(value) is not kind or (
-                    kind is list and any(type(v) is not str for v in value)):
-                raise ValidationError(f"{self.get('cmd')!r} step field "
-                                      f"{name!r} must be {_TYPE_NAMES[kind]}")
+            _typed(self.get(name, kind()), kind,
+                   f"{self.get('cmd')!r} step field {name!r}")
 
     def __missing__(self, name):
         raise ValidationError(f"{self.get('cmd')!r} step lacks field "

@@ -1,6 +1,10 @@
 """End-to-end runs of the console front end, mostly in-process."""
 
+import copy
+import functools
+import hashlib
 import json
+import operator
 import os
 import re
 import shutil
@@ -12,10 +16,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import parvault
-from parvault import fbsc, rsacrt, secretshare, statsuite
+from parvault import cli, fbsc, protocol, rsacrt, secretshare, statsuite
 from parvault.cli import linear_fit, main
+from parvault.errors import ParvaultError
 
 SECRET = b"the commissioning report, not for the cloud\n" + bytes(range(200))
 
@@ -247,6 +253,51 @@ def key_for_an_unregistered_user(tmp_path):
             "holds a key for 'zed', whom the journal never registers")
 
 
+def _vault_with_checkpoint(tmp_path, edit):
+    """A shared vault whose checkpoint.json is passed through edit, which
+    takes the parsed file and returns the new text or object."""
+    vault = _shared_vault(tmp_path)
+    checkpoint = vault / "checkpoint.json"
+    new = edit(json.loads(checkpoint.read_text()))
+    checkpoint.write_text(new if isinstance(new, str) else json.dumps(new))
+    return ["access", "doc.bin", "--out", vault, "--user", "rena"]
+
+
+def checkpoint_not_json(tmp_path):
+    return (_vault_with_checkpoint(tmp_path, lambda cp: "{not json"),
+            "checkpoint.json' is not JSON")
+
+
+def checkpoint_not_an_object(tmp_path):
+    return (_vault_with_checkpoint(tmp_path, lambda cp: [1]),
+            "checkpoint.json' is not a JSON object")
+
+
+def checkpoint_integer_too_long(tmp_path):
+    def edit(cp):
+        text = json.dumps(cp)
+        return text[:-1] + ', "size": ' + "9" * 5000 + "}"
+    return (_vault_with_checkpoint(tmp_path, edit),
+            "checkpoint.json' is not JSON")
+
+
+def checkpoint_point_with_a_text_y(tmp_path):
+    def edit(cp):
+        point = cp["world"]["points"]["rena"]["doc.bin"]
+        point["y"] = str(point["y"])
+        return cp
+    return (_vault_with_checkpoint(tmp_path, edit),
+            "the point of 'rena' for 'doc.bin': 'y' must be an integer")
+
+
+def checkpoint_digest_not_hex(tmp_path):
+    def edit(cp):
+        cp["journal_sha256"] = "z" * 64
+        return cp
+    return (_vault_with_checkpoint(tmp_path, edit),
+            "every digest must be 64 lower-case hex digits")
+
+
 def script_not_json(tmp_path):
     script = tmp_path / "s.jsonl"
     script.write_text("register olive\n")
@@ -325,7 +376,10 @@ def pgm_of_negative_size(tmp_path):
     journal_header_not_an_object, journal_integer_too_long, keys_not_json,
     keys_not_an_object, key_without_q, key_with_a_text_e,
     key_with_p_equal_to_q, key_with_a_composite_p, key_of_the_wrong_width,
-    key_for_an_unregistered_user, script_not_json, key_file_not_utf8,
+    key_for_an_unregistered_user, checkpoint_not_json,
+    checkpoint_not_an_object, checkpoint_integer_too_long,
+    checkpoint_point_with_a_text_y, checkpoint_digest_not_hex,
+    script_not_json, key_file_not_utf8,
     script_not_utf8, journal_not_utf8,
     element_one_digit_short, element_one_digit_extra,
     element_last_digit_changed, key_file_with_a_wide_base,
@@ -395,7 +449,12 @@ def _vault_outputs(vault):
             if p.suffix in (".blob", ".plain", ".jsonl", ".json")}
 
 
-def test_stored_keys_change_no_output(tmp_path):
+@pytest.mark.parametrize("deleted", [("keys.json",), ("checkpoint.json",),
+                                     ("keys.json", "checkpoint.json")],
+                         ids="+".join)
+def test_stored_keys_change_no_output(tmp_path, deleted):
+    # each deleted file is derived again before every command: the keys by
+    # their prime search, the checkpoint by replaying the journal
     doc = tmp_path / "doc.bin"
     doc.write_bytes(SECRET)
     commands = [("share", doc, "--owner", "olive", "--users", "rena,sam"),
@@ -407,14 +466,98 @@ def test_stored_keys_change_no_output(tmp_path):
     codes = {kept: [], derived: []}
     for argv in commands:
         for vault in (kept, derived):
-            if vault == derived and (vault / "keys.json").exists():
-                (vault / "keys.json").unlink()  # every key derived again
+            for name in deleted if vault == derived else ():
+                (vault / name).unlink(missing_ok=True)
             codes[vault].append(run(*argv, "--out", vault))
     assert codes[kept] == codes[derived] == [0, 0, 0, 1, 0]
     outputs = _vault_outputs(kept)
     assert set(outputs) == {"doc.bin.blob", "doc.bin.plain", "vault.jsonl",
-                            "keys.json"}
+                            "keys.json", "checkpoint.json"}
     assert outputs == _vault_outputs(derived)
+
+
+def _forbid_replay(monkeypatch):
+    def replay(*args, **kwargs):
+        raise AssertionError("protocol.replay_commands ran")
+    monkeypatch.setattr(protocol, "replay_commands", replay)
+
+
+def _count_replays(monkeypatch):
+    calls = []
+    replay = protocol.replay_commands
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return replay(*args, **kwargs)
+    monkeypatch.setattr(protocol, "replay_commands", counted)
+    return calls
+
+
+def test_vault_commands_restore_the_checkpoint(tmp_path, monkeypatch):
+    vault = _shared_vault(tmp_path)
+    checkpoint = vault / "checkpoint.json"
+    assert stat.S_IMODE(checkpoint.stat().st_mode) == 0o600
+    assert json.loads(checkpoint.read_bytes())["journal_sha256"] == \
+        hashlib.sha256((vault / "vault.jsonl").read_bytes()).hexdigest()
+    _forbid_replay(monkeypatch)
+    second = tmp_path / "second.bin"
+    second.write_bytes(SECRET[::-1])
+    assert run("share", second, "--out", vault, "--owner", "olive",
+               "--users", "sam") == 0
+    # refused before journaling: the checkpoint stays valid
+    assert run("share", second, "--out", vault, "--owner", "olive",
+               "--users", "sam") == 1
+    assert run("access", "doc.bin", "--out", vault, "--user", "rena") == 0
+    assert (vault / "doc.bin.plain").read_bytes() == SECRET
+    assert run("revoke", "doc.bin", "--out", vault, "--user", "sam") == 0
+    # a denial is journaled, and the checkpoint written again
+    assert run("access", "doc.bin", "--out", vault, "--user", "sam") == 1
+    assert run("access", "second.bin", "--out", vault, "--user", "sam") == 0
+    assert (vault / "second.bin.plain").read_bytes() == SECRET[::-1]
+    assert [p.name for p in vault.iterdir() if p.name.startswith(".")] == []
+
+
+def _swap_two_element_lines(vault):
+    blob = vault / "doc.bin.blob"
+    lines = blob.read_bytes().split(b"\n")
+    # the last lines are single elements; pick two that differ
+    i = next(i for i in range(len(lines) - 3, 0, -1)
+             if lines[i] != lines[-2])
+    lines[i], lines[-2] = lines[-2], lines[i]
+    blob.write_bytes(b"\n".join(lines))
+
+
+def _delete_blob(vault):
+    (vault / "doc.bin.blob").unlink()
+
+
+def _replace_renas_key(vault):
+    keys = json.loads((vault / "keys.json").read_text())
+    other = rsacrt.keygen(512, seed=99)
+    keys["rena"] = {"p": other.p, "q": other.q, "e": other.e}
+    (vault / "keys.json").write_text(json.dumps(keys))
+
+
+@pytest.mark.parametrize("tamper", [_swap_two_element_lines, _delete_blob,
+                                    _replace_renas_key],
+                         ids=lambda f: f.__name__.strip("_"))
+def test_a_checkpoint_that_does_not_match_is_replayed(tmp_path, monkeypatch,
+                                                      tamper):
+    # the same tampering in a vault without a checkpoint gives the output
+    # of a replay; the checkpointed vault must give it too
+    outputs = []
+    for name in ("checkpointed", "replayed"):
+        (tmp_path / name).mkdir()
+        vault = _shared_vault(tmp_path / name)
+        tamper(vault)
+        if name == "replayed":
+            (vault / "checkpoint.json").unlink()
+        replays = _count_replays(monkeypatch)
+        assert run("access", "doc.bin", "--out", vault, "--user", "rena") == 0
+        assert replays == [1]
+        assert (vault / "doc.bin.plain").read_bytes() == SECRET
+        outputs.append(_vault_outputs(vault))
+    assert outputs[0] == outputs[1]
 
 
 def test_vault_access_takes_its_keys_from_the_key_store(tmp_path,
@@ -426,6 +569,60 @@ def test_vault_access_takes_its_keys_from_the_key_store(tmp_path,
     monkeypatch.setattr(rsacrt, "keygen", keygen)
     assert run("access", "doc.bin", "--out", vault, "--user", "rena") == 0
     assert (vault / "doc.bin.plain").read_bytes() == SECRET
+
+
+@pytest.fixture(scope="module")
+def checkpointed_vault(tmp_path_factory):
+    vault = _shared_vault(tmp_path_factory.mktemp("checkpointed"))
+    return vault, json.loads((vault / "checkpoint.json").read_bytes())
+
+
+def _json_paths(node, path=()):
+    if isinstance(node, (dict, list)):
+        children = node.items() if isinstance(node, dict) else enumerate(node)
+        for key, child in children:
+            yield path + (key,)
+            yield from _json_paths(child, path + (key,))
+
+
+_JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(-3, 2 ** 90),
+    st.text(max_size=4), st.lists(st.integers(0, 9), max_size=2),
+    st.dictionaries(st.text(max_size=3), st.integers(0, 9), max_size=2))
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(data=st.data())
+def test_a_mutated_checkpoint_raises_only_parvault_errors(checkpointed_vault,
+                                                         data):
+    # one node of the checkpoint replaced or deleted, or one byte of its
+    # text overwritten; loading it and running each vault operation on
+    # what it gives may be refused, but only with a ParvaultError
+    vault, good = checkpointed_vault
+    doc = copy.deepcopy(good)
+    *head, last = data.draw(st.sampled_from(list(_json_paths(doc))))
+    node = functools.reduce(operator.getitem, head, doc)
+    how = data.draw(st.sampled_from(["replace", "delete", "byte"]))
+    if how == "replace":
+        node[last] = data.draw(_JSON_VALUES)
+    elif how == "delete":
+        del node[last]
+    raw = bytearray(json.dumps(doc).encode())
+    if how == "byte":
+        raw[data.draw(st.integers(0, len(raw) - 1))] = data.draw(
+            st.integers(0, 255))
+    (vault / "checkpoint.json").write_bytes(raw)
+    try:
+        sim = cli._load_vault(str(vault), "doc.bin").sim
+    except ParvaultError:
+        return
+    for op in (lambda: sim.request_access("rena", "doc.bin"),
+               lambda: sim.store_file("olive", SECRET, ["sam"], "new.bin"),
+               lambda: sim.revoke_and_reencrypt("olive", "doc.bin", "sam")):
+        try:
+            op()
+        except ParvaultError:
+            pass
 
 
 def test_vault_without_a_key_store_gains_one(tmp_path):
