@@ -38,7 +38,8 @@ are derived from it:
 Both are written with a temp file and a rename, mode 0600, and neither
 adds a secret: every key derives from the seed in the journal's header
 and the user id, and the checkpoint from the journal and the keys. A
-malformed one is refused with one error line. The output directory is not
+malformed one is refused with one error line (a checkpoint's world only
+when its digests match). The output directory is not
 what the cloud would hold: each `share` record keeps the shared file's
 plaintext as `data_hex`, because a replay needs it, so the directory must
 stay with the owner.

@@ -476,30 +476,16 @@ def test_stored_keys_change_no_output(tmp_path, deleted):
     assert outputs == _vault_outputs(derived)
 
 
-def _forbid_replay(monkeypatch):
-    def replay(*args, **kwargs):
-        raise AssertionError("protocol.replay_commands ran")
-    monkeypatch.setattr(protocol, "replay_commands", replay)
-
-
-def _count_replays(monkeypatch):
-    calls = []
-    replay = protocol.replay_commands
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return replay(*args, **kwargs)
-    monkeypatch.setattr(protocol, "replay_commands", counted)
-    return calls
-
-
 def test_vault_commands_restore_the_checkpoint(tmp_path, monkeypatch):
     vault = _shared_vault(tmp_path)
     checkpoint = vault / "checkpoint.json"
     assert stat.S_IMODE(checkpoint.stat().st_mode) == 0o600
     assert json.loads(checkpoint.read_bytes())["journal_sha256"] == \
         hashlib.sha256((vault / "vault.jsonl").read_bytes()).hexdigest()
-    _forbid_replay(monkeypatch)
+
+    def replay(*args):
+        raise AssertionError("protocol.replay_commands ran")
+    monkeypatch.setattr(protocol, "replay_commands", replay)
     second = tmp_path / "second.bin"
     second.write_bytes(SECRET[::-1])
     assert run("share", second, "--out", vault, "--owner", "olive",
@@ -545,16 +531,21 @@ def test_a_checkpoint_that_does_not_match_is_replayed(tmp_path, monkeypatch,
                                                       tamper):
     # the same tampering in a vault without a checkpoint gives the output
     # of a replay; the checkpointed vault must give it too
-    outputs = []
+    replay, replays, outputs = protocol.replay_commands, [], []
+
+    def counted(*args):
+        replays.append(args)
+        return replay(*args)
+    monkeypatch.setattr(protocol, "replay_commands", counted)
     for name in ("checkpointed", "replayed"):
         (tmp_path / name).mkdir()
         vault = _shared_vault(tmp_path / name)
         tamper(vault)
         if name == "replayed":
             (vault / "checkpoint.json").unlink()
-        replays = _count_replays(monkeypatch)
+        replays.clear()
         assert run("access", "doc.bin", "--out", vault, "--user", "rena") == 0
-        assert replays == [1]
+        assert len(replays) == 1
         assert (vault / "doc.bin.plain").read_bytes() == SECRET
         outputs.append(_vault_outputs(vault))
     assert outputs[0] == outputs[1]
